@@ -20,7 +20,7 @@ from . import deriv as dv
 from . import doubleext as dx
 from . import invariants as inv
 from . import liesuper as ls
-from .gf2core import SpanBasis, bit_indices, echelon_complement
+from .gf2core import BitMatrix, SpanBasis, bit_indices, echelon_complement
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE = 0, 1, 2
 
@@ -214,21 +214,14 @@ def _preserving_split(analysis_g, B, shift, solutions, inner_vecs):
     for v in inner_vecs + solutions:
         full.add(v)
     basis = list(full.rows)
-    # preserving subspace: linear conditions over cell-basis combinations
-    from .gf2core import BitMatrix
-
-    cond_rows = []
-    for i in range(n):
-        for j in range(i, n):
-            row = 0
-            for k, v in enumerate(basis):
-                D = dv.LinearMap.from_vec(v, n, *shift)
-                if B.pairing(D.cols[i], 1 << j) ^ B.pairing(1 << i, D.cols[j]):
-                    row |= 1 << k
-            if row:
-                cond_rows.append(row)
-    if cond_rows:
-        mat = BitMatrix.from_int_rows(cond_rows, len(basis))
+    # preserving subspace: linear conditions over cell-basis combinations,
+    # one row per basis pair (i, j) that some basis vector violates
+    cond: dict[tuple[int, int], int] = {}
+    for k, v in enumerate(basis):
+        for ij in dv.invariance_failures(dv.LinearMap.from_vec(v, n, *shift), B):
+            cond[ij] = cond.get(ij, 0) | (1 << k)
+    if cond:
+        mat = BitMatrix.from_int_rows([cond[ij] for ij in sorted(cond)], len(basis))
         kernel = [kv.bits for kv in mat.nullspace_basis()]
     else:
         kernel = [1 << k for k in range(len(basis))]
@@ -243,9 +236,9 @@ def _preserving_split(analysis_g, B, shift, solutions, inner_vecs):
     return pres_reps, other_reps
 
 
-def analyze_family(fam: ls.FamilySpec, parallel: bool = False) -> FamilyAnalysis:
+def analyze_family(fam: ls.FamilySpec) -> FamilyAnalysis:
     g, B = ls.build_algebra(fam)
-    space = dv.derivation_space_blocked(g, parallel=parallel)
+    space = dv.derivation_space_blocked(g)
     n = g.n
     rows: list[DerivationRow] = []
     zero_wt = (0,) * len(g.basis[0].weight)
@@ -276,8 +269,8 @@ def analyze_family(fam: ls.FamilySpec, parallel: bool = False) -> FamilyAnalysis
                     maps = [dv.LinearMap.from_vec(v, n, *key) for v in vecs]
                     rows.append(
                         DerivationRow(label, 0, (wt,), par, len(maps),
-                                      all(dx.bilinear_invariant(m, B) for m in maps),
-                                      all(dx.extra_condition(m, B, g) for m in maps),
+                                      all(dv.bilinear_invariant(m, B) for m in maps),
+                                      all(dv.extra_condition(m, B, g) for m in maps),
                                       maps)
                     )
         else:
@@ -285,13 +278,13 @@ def analyze_family(fam: ls.FamilySpec, parallel: bool = False) -> FamilyAnalysis
             maps = list(reps)
             rows.append(
                 DerivationRow(label, deg, (wt,), par, len(maps),
-                              all(dx.bilinear_invariant(m, B) for m in maps),
-                              all(dx.extra_condition(m, B, g) for m in maps),
+                              all(dv.bilinear_invariant(m, B) for m in maps),
+                              all(dv.extra_condition(m, B, g) for m in maps),
                               maps)
             )
     for (_, par), grp in sorted(db_rows.items()):
-        grp.bilinear = all(dx.bilinear_invariant(m, B) for m in grp.reps)
-        grp.extra_odd = all(dx.extra_condition(m, B, g) for m in grp.reps)
+        grp.bilinear = all(dv.bilinear_invariant(m, B) for m in grp.reps)
+        grp.extra_odd = all(dv.extra_condition(m, B, g) for m in grp.reps)
         rows.append(grp)
     order = {"Db": 1, "D0": 2, "Dtheta": 3}
     rows.sort(key=lambda r: (r.degree, order.get(r.label, 0), r.label, r.parity))
@@ -312,10 +305,10 @@ class DexRow:
     notes: str = ""
 
 
-def dex_family(fam: ls.FamilySpec, parallel: bool = False, identify: bool = True):
+def dex_family(fam: ls.FamilySpec, identify: bool = True):
     """Run the full per-family pipeline; returns (analysis, dex rows,
     extensions)."""
-    an = analyze_family(fam, parallel=parallel)
+    an = analyze_family(fam)
     g, B = an.g, an.B
     po = None
     if identify:
@@ -377,9 +370,7 @@ def render_derivation_report(an: FamilyAnalysis) -> str:
             f"bilinear {'yes' if r.bilinear else 'no'} extra-odd {'yes' if r.extra_odd else 'no'}"
         )
     # completeness finding: outer classes the closed-form generators miss
-    span = SpanBasis()
-    for d in an.space.inner:
-        span.add(d.as_vec())
+    span = ls.inner_span(an.g)
     for _, D in dv.closed_form_generators(an.fam, an.g):
         span.add(D.as_vec())
     extra = []
@@ -449,6 +440,25 @@ def _fam_from_args(args) -> ls.FamilySpec:
     return fam
 
 
+def _sca_mismatch(g, B, g2, B2) -> str:
+    """The components, comma-separated, in which (g2, B2) differs from
+    (g, B); empty when the two are the same object."""
+
+    def parts(h, F):
+        return {
+            "basis": h.basis,
+            "brackets": h.brk,
+            "squarings": h.sq,
+            "diagonal": h.diag,
+            "graded": h.graded_only,
+            "form": F.gram if F else None,
+            "form parity": F.parity if F else None,
+        }
+
+    a, b = parts(g, B), parts(g2, B2)
+    return ", ".join(k for k in a if a[k] != b[k])
+
+
 def cmd_build(args) -> int:
     fam = _fam_from_args(args)
     g, B = ls.build_algebra(fam)
@@ -457,9 +467,9 @@ def cmd_build(args) -> int:
     path = outdir / f"{family_slug(fam)}.sca"
     text = sca_dump(g, B)
     path.write_text(text)
-    g2, B2 = sca_parse(text)
-    if g2.brk != g.brk or g2.sq != g.sq or (B2 and B2.gram != B.gram):
-        raise VerificationError("SCA round-trip mismatch")
+    bad = _sca_mismatch(g, B, *sca_parse(text))
+    if bad:
+        raise VerificationError(f"SCA round-trip mismatch ({bad})")
     print(f"built {fam.name}: dim {g.n} sdim {len(g.even_indices())}|{len(g.odd_indices())} -> {path}")
     return EXIT_OK
 
@@ -469,23 +479,26 @@ def _load_family(args) -> ls.FamilySpec:
     path = Path(args.out) / f"{family_slug(fam)}.sca"
     if not path.exists():
         raise VerificationError(f"missing input file {path} (run build first)")
-    g_file, _ = sca_parse(path.read_text())
-    g, _ = ls.build_algebra(fam)
-    if g_file.brk != g.brk:
-        raise VerificationError(f"{path} does not match a fresh build")
+    try:
+        parsed = sca_parse(path.read_text())
+    except (ValueError, IndexError, KeyError) as e:
+        raise VerificationError(f"{path} is not a valid SCA file: {e!r}") from e
+    bad = _sca_mismatch(*ls.build_algebra(fam), *parsed)
+    if bad:
+        raise VerificationError(f"{path} does not match a fresh build ({bad})")
     return fam
 
 
 def cmd_derivations(args) -> int:
     fam = _load_family(args)
-    an = analyze_family(fam, parallel=args.parallel)
+    an = analyze_family(fam)
     sys.stdout.write(render_derivation_report(an))
     return EXIT_OK
 
 
 def cmd_dex(args) -> int:
     fam = _load_family(args)
-    an, rows, exts = dex_family(fam, parallel=args.parallel)
+    an, rows, exts = dex_family(fam)
     table = render_dex_table(fam, an, rows)
     csv = render_dex_csv(fam, rows)
     outdir = Path(args.out)
@@ -529,7 +542,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     naive = dv.derivation_space_naive(g)
     t1 = time.perf_counter()
-    blocked = dv.derivation_space_blocked(g, parallel=args.parallel)
+    blocked = dv.derivation_space_blocked(g)
     t2 = time.perf_counter()
     if not dv.spaces_equal(naive, blocked):
         print("ERROR: solver spaces differ")
@@ -558,7 +571,7 @@ def cmd_report(args) -> int:
     status = EXIT_OK
     for total in sizes:
         for fam in standard_families(total):
-            an, rows, exts = dex_family(fam, parallel=args.parallel)
+            an, rows, exts = dex_family(fam)
             chunks.append(render_dex_table(fam, an, rows))
             csvs.extend(render_dex_csv(fam, rows).splitlines()[1:])
             bad = [r for r in rows if r.built and not all(v for _, _, v in r.built)]
@@ -582,7 +595,6 @@ def main(argv=None) -> int:
         sp.add_argument("--odd", type=int)
         sp.add_argument("--n", type=int)
         sp.add_argument("--out", default="out")
-        sp.add_argument("--parallel", action="store_true")
         sp.add_argument("--override-size", action="store_true")
 
     for name, fn in [
@@ -600,7 +612,6 @@ def main(argv=None) -> int:
     sp = sub.add_parser("report")
     sp.add_argument("--sizes", type=int, nargs="*")
     sp.add_argument("--out", default="out")
-    sp.add_argument("--parallel", action="store_true")
     sp.set_defaults(fn=cmd_report)
 
     args = p.parse_args(argv)

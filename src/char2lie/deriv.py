@@ -9,12 +9,11 @@ tractable.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import superfunc as sf
-from .gf2core import BitMatrix, SpanBasis, bit_indices, echelon_complement
-from .liesuper import BilinearFormTable, FamilySpec, StructureConstants, build_algebra
+from .gf2core import BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, span_equal, unflatten_cols
+from .liesuper import BilinearFormTable, FamilySpec, StructureConstants, build_algebra, inner_span
 
 ShiftKey = tuple  # (degree shift, weight shift tuple, parity shift)
 
@@ -41,32 +40,40 @@ class LinearMap:
     def is_zero(self) -> bool:
         return not any(self.cols)
 
-    def compose(self, other: "LinearMap") -> "LinearMap":
-        cols = tuple(self.apply(c) for c in other.cols)
-        return LinearMap(
-            cols,
-            self.degree + other.degree,
-            tuple(a + b for a, b in zip(self.weight, other.weight)),
-            self.parity ^ other.parity,
-        )
-
     def __xor__(self, other: "LinearMap") -> "LinearMap":
         if (self.degree, self.weight, self.parity) != (other.degree, other.weight, other.parity):
             raise ValueError("shift mismatch")
         return LinearMap(tuple(a ^ b for a, b in zip(self.cols, other.cols)), self.degree, self.weight, self.parity)
 
     def as_vec(self) -> int:
-        n = self.n
-        out = 0
-        for j, c in enumerate(self.cols):
-            out |= c << (j * n)
-        return out
+        return flatten_cols(self.cols, self.n)
 
     @classmethod
     def from_vec(cls, vec: int, n: int, degree: int, weight, parity: int) -> "LinearMap":
-        mask = (1 << n) - 1
-        cols = tuple((vec >> (j * n)) & mask for j in range(n))
-        return cls(cols, degree, weight, parity)
+        return cls(unflatten_cols(vec, n), degree, weight, parity)
+
+
+def invariance_failures(D: LinearMap, B: BilinearFormTable):
+    """Basis pairs (i, j), i <= j, in order, where B(Dei,ej) != B(ei,Dej)."""
+    n = len(D.cols)
+    for i in range(n):
+        for j in range(i, n):
+            if B.pairing(D.cols[i], 1 << j) ^ B.pairing(1 << i, D.cols[j]):
+                yield i, j
+
+
+def bilinear_invariant(D: LinearMap, B: BilinearFormTable) -> bool:
+    return next(invariance_failures(D, B), None) is None
+
+
+def extra_condition(D: LinearMap, B: BilinearFormTable, g: StructureConstants) -> bool:
+    """The characteristic-2 extra: B(D(f), f) = 0 on the odd part.  A
+    nonzero odd diagonal is not an obstruction to a D-extension (it is
+    absorbed by the diagonal of q), but the flag is reported."""
+    for i in g.odd_indices():
+        if B.pairing(D.cols[i], 1 << i):
+            return False
+    return True
 
 
 def shift_of(g: StructureConstants, cols: list[int]) -> ShiftKey | None:
@@ -131,14 +138,8 @@ class DerivationSpace:
     def dim_outer(self) -> int:
         return sum(len(v) for v in self.outer_reps.values())
 
-    def outer_flat(self) -> list[LinearMap]:
-        return [d for key in sorted(self.outer_reps) for d in self.outer_reps[key]]
-
     def inner_span(self) -> SpanBasis:
-        s = SpanBasis()
-        for d in self.inner:
-            s.add(d.as_vec())
-        return s
+        return inner_span(self.algebra)
 
     def full_span(self) -> SpanBasis:
         s = SpanBasis()
@@ -216,19 +217,17 @@ def _homogenize(g: StructureConstants, vecs: list[int]) -> list[LinearMap]:
     """Split solution vectors into grading-homogeneous components and
     return a deterministic reduced basis of homogeneous maps."""
     n = g.n
-    mask = (1 << n) - 1
     per_shift: dict[ShiftKey, SpanBasis] = {}
     for vec in vecs:
         comp: dict[ShiftKey, list[int]] = {}
-        for j in range(n):
-            col = (vec >> (j * n)) & mask
+        for j, col in enumerate(unflatten_cols(vec, n)):
             kj = g.cell_key(j)
             for t in bit_indices(col):
                 kt = g.cell_key(t)
                 s = (kt[0] - kj[0], tuple(a - b for a, b in zip(kt[1], kj[1])), kt[2] ^ kj[2])
                 comp.setdefault(s, [0] * n)[j] |= 1 << t
         for s, cols in comp.items():
-            per_shift.setdefault(s, SpanBasis()).add(LinearMap(tuple(cols), *s).as_vec())
+            per_shift.setdefault(s, SpanBasis()).add(flatten_cols(cols, n))
     out = []
     for s in sorted(per_shift):
         for row in per_shift[s].rows:
@@ -259,7 +258,7 @@ def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> Deriva
     return DerivationSpace(g, maps, inner, outer, stats)
 
 
-def derivation_space_blocked(g: StructureConstants, parallel: bool = False) -> DerivationSpace:
+def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     """Solve one independent system per grading shift."""
     n = g.n
     rev = _rev_table(g)
@@ -332,7 +331,7 @@ def derivation_space_blocked(g: StructureConstants, parallel: bool = False) -> D
     def solve_block(skey: ShiftKey):
         ents = entries_for(skey)
         if not ents:
-            return skey, [], 0
+            return [], 0
         col_of = {e: c for c, e in enumerate(ents)}
         ncols = len(ents)
         rows = []
@@ -354,19 +353,11 @@ def derivation_space_blocked(g: StructureConstants, parallel: bool = False) -> D
                 t, s = ents[c]
                 cols[s] |= 1 << t
             maps.append(LinearMap(tuple(cols), *skey))
-        return skey, maps, ncols
-
-    results = []
-    if parallel:
-        with ThreadPoolExecutor() as ex:
-            results = list(ex.map(solve_block, shifts))
-    else:
-        results = [solve_block(s) for s in shifts]
-    results.sort(key=lambda r: r[0])
+        return maps, ncols
 
     maps = []
     max_block = 0
-    for skey, block_maps, ncols in results:
+    for block_maps, ncols in map(solve_block, shifts):
         maps.extend(block_maps)
         max_block = max(max_block, ncols)
 
@@ -391,11 +382,7 @@ def derivation_space_blocked(g: StructureConstants, parallel: bool = False) -> D
 
 
 def spaces_equal(a: DerivationSpace, b: DerivationSpace) -> bool:
-    sa = a.full_span()
-    sb = b.full_span()
-    if sa.dim != sb.dim:
-        return False
-    return all(sa.contains(d.as_vec()) for d in b.all)
+    return span_equal([d.as_vec() for d in a.all], [d.as_vec() for d in b.all])
 
 
 def is_derivation(g: StructureConstants, D: LinearMap) -> bool:
@@ -420,35 +407,14 @@ def preserves_nis(D: LinearMap, B: BilinearFormTable, g: StructureConstants) -> 
     """B(Dei,ej) + B(ei,Dej) = 0 for all pairs, and B(Dei,ei) = 0 for odd
     ei (the quadratic condition follows on basis elements by
     polarization; it is vacuous for desuperizations)."""
-    n = len(D.cols)
-    for i in range(n):
-        for j in range(i, n):
-            if B.pairing(D.cols[i], 1 << j) ^ B.pairing(1 << i, D.cols[j]):
-                return False
-    if not g.graded_only:
-        for i in g.odd_indices():
-            if B.pairing(D.cols[i], 1 << i):
-                return False
-    return True
+    return bilinear_invariant(D, B) and (g.graded_only or extra_condition(D, B, g))
 
 
 def cohomology_equal(D1: LinearMap, D2: LinearMap, g: StructureConstants) -> bool:
     """True iff D1 + D2 is an inner derivation."""
     if (D1.degree, D1.weight, D1.parity) != (D2.degree, D2.weight, D2.parity):
         raise ValueError("shift mismatch")
-    span = SpanBasis()
-    for k in range(g.n):
-        cols = g.ad_cols(1 << k)
-        if any(cols):
-            span.add(_cols_vec(cols, g.n))
-    return span.contains(_cols_vec(list((D1 ^ D2).cols), g.n))
-
-
-def _cols_vec(cols: list[int], n: int) -> int:
-    out = 0
-    for j, c in enumerate(cols):
-        out |= c << (j * n)
-    return out
+    return inner_span(g).contains((D1 ^ D2).as_vec())
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .deriv import LinearMap
-from .gf2core import SpanBasis, bit_indices
+from .deriv import LinearMap, bilinear_invariant
+from .gf2core import BitMatrix, BitVector, SpanBasis, bit_indices, flatten_cols
 from .liesuper import (
     EVEN,
     ODD,
@@ -20,6 +20,7 @@ from .liesuper import (
     BilinearFormTable,
     StructureConstants,
     center,
+    inner_span,
     odd_squares_span,
     special_center,
 )
@@ -46,42 +47,6 @@ class ExtendedAlgebra:
     def n(self) -> int:
         return self.alg.n
 
-    @property
-    def c_index(self) -> int:
-        return 0
-
-    @property
-    def d_index(self) -> int:
-        return self.alg.n - 1
-
-
-def bilinear_invariant(D: LinearMap, B: BilinearFormTable) -> bool:
-    n = len(D.cols)
-    for i in range(n):
-        for j in range(i, n):
-            if B.pairing(D.cols[i], 1 << j) ^ B.pairing(1 << i, D.cols[j]):
-                return False
-    return True
-
-
-def extra_condition(D: LinearMap, B: BilinearFormTable, g: StructureConstants) -> bool:
-    """The characteristic-2 extra: B(D(f), f) = 0 on the odd part.  A
-    nonzero odd diagonal is not an obstruction to a D-extension (it is
-    absorbed by the diagonal of q), but the flag is reported."""
-    for i in g.odd_indices():
-        if B.pairing(D.cols[i], 1 << i):
-            return False
-    return True
-
-
-def even_diagonal_condition(D: LinearMap, B: BilinearFormTable, g: StructureConstants) -> bool:
-    """B(D(f), f) = 0 on the even part: required for anticommutativity of
-    the extended bracket (no squaring can absorb an even diagonal)."""
-    for i in g.even_indices():
-        if B.pairing(D.cols[i], 1 << i):
-            return False
-    return True
-
 
 def find_q(a: StructureConstants, B: BilinearFormTable, D: LinearMap) -> tuple | None:
     """Diagonal of the canonical quadratic form adjusting the squaring:
@@ -100,30 +65,10 @@ def find_q(a: StructureConstants, B: BilinearFormTable, D: LinearMap) -> tuple |
 
 def find_A(a: StructureConstants, D: LinearMap) -> int | None:
     """Solve ad_A = D∘D for A, then require D(A) = 0."""
-    n = a.n
-    dd = [D.apply(c) for c in D.cols]
-    span = SpanBasis(track=True)
-    gens = []
-    for k in range(n):
-        cols = a.ad_cols(1 << k)
-        span.add(_flat(cols, n))
-        gens.append(k)
-    combo = span.solve(_flat(dd, n))
-    if combo is None:
-        return None
-    A = 0
-    for k in bit_indices(combo):
-        A |= 1 << gens[k]
-    if D.apply(A) != 0:
+    A = inner_span(a).solve(flatten_cols([D.apply(c) for c in D.cols], a.n))
+    if A is None or D.apply(A) != 0:
         return None
     return A
-
-
-def _flat(cols, n):
-    out = 0
-    for j, c in enumerate(cols):
-        out |= c << (j * n)
-    return out
 
 
 def case_of(a: StructureConstants, B: BilinearFormTable, D: LinearMap) -> str:
@@ -181,7 +126,6 @@ def build(case: str, a: StructureConstants, B: BilinearFormTable, data: Extensio
 
     # degrees/weights: B pairs complementary degrees summing to mu
     mu_deg, mu_wt = _pairing_grade(a, B)
-    nw = len(a.basis[0].weight)
     c_elt = BasisElement("c", pc, mu_deg - D.degree, tuple(x - y for x, y in zip(mu_wt, D.weight)))
     d_elt = BasisElement("D", D.parity, D.degree, D.weight)
     basis = [c_elt] + [BasisElement(b.name, b.parity, b.degree, b.weight) for b in a.basis] + [d_elt]
@@ -355,12 +299,7 @@ def recognition(g: StructureConstants, B: BilinearFormTable) -> RecognitionRepor
 
 def nontrivial_cocycle(a: StructureConstants, B: BilinearFormTable, D: LinearMap) -> bool:
     """The central extension by B(D., .) is nontrivial iff D is outer."""
-    span = SpanBasis()
-    for k in range(a.n):
-        cols = a.ad_cols(1 << k)
-        if any(cols):
-            span.add(_flat(cols, a.n))
-    return not span.contains(_flat(list(D.cols), a.n))
+    return not inner_span(a).contains(D.as_vec())
 
 
 # ---------------------------------------------------------------------------
@@ -448,13 +387,9 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
 
     rows = []  # (coeff bitmask over unknowns, rhs bit) as (int, int)
 
-    def t_of_a(k):
-        return iota[k]
-
     # E1: pairs of a
     for k in range(na):
         for l in range(k + 1, na):
-            lhs_fixed = 0  # target vector: iota([ek,el]_a)
             v = g.brk[k + 1][l + 1]
             omega = v & 1
             va = v >> 1
@@ -525,8 +460,6 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
             rows.append((coeff, kappa ^ qbit))
 
     # solve the linear system over GF(2)
-    from .gf2core import BitMatrix, BitVector
-
     mat = BitMatrix.from_int_rows([r for r, _ in rows], nun) if rows else BitMatrix.zeros(0, nun)
     rhs = BitVector.from_indices(len(rows), [i for i, (_, b) in enumerate(rows) if b])
     sol = mat.solve(rhs) if rows else BitVector(nun, 0)
@@ -534,10 +467,9 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
         return None
     kernel = mat.nullspace_basis() if rows else [BitVector(nun, 1 << i) for i in range(nun)]
 
-    # enumerate the affine solution set (bounded) to satisfy the quadratic
-    # conditions (squaring of D, and full verification)
-    if len(kernel) > 12:
-        kernel = kernel[:12]
+    # enumerate the whole affine solution set to satisfy the quadratic
+    # conditions (squaring of D, and full verification); the kernel is at
+    # most 1-dimensional for every standard family at sizes 4-6
     base = sol.bits
     for mask in range(1 << len(kernel)):
         s = base
@@ -557,6 +489,6 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
         if nu_ok and (s >> (nun - 1)) & 1:
             dcol ^= 1 << one
         cols[n - 1] = dcol
-        if _verify_witness(ExtendedAlgebra(g, ext.form, ext.provenance), target, cols):
+        if _verify_witness(ext, target, cols):
             return IsoWitness(tuple(cols))
     return None

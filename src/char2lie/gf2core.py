@@ -20,6 +20,8 @@ __all__ = [
     "rank",
     "nullspace_basis",
     "solve",
+    "flatten_cols",
+    "unflatten_cols",
 ]
 
 
@@ -59,9 +61,6 @@ class BitVector:
     def support(self) -> list[int]:
         return bit_indices(self.bits)
 
-    def popcount(self) -> int:
-        return self.bits.bit_count()
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if self.length != other.length:
             raise ValueError("length mismatch")
@@ -76,6 +75,21 @@ def bit_indices(x: int) -> list[int]:
         out.append(low.bit_length() - 1)
         x ^= low
     return out
+
+
+def flatten_cols(cols, n: int) -> int:
+    """One n*n-bit vector of an n x n matrix given by its columns: column j
+    occupies bits j*n .. j*n+n-1."""
+    out = 0
+    for j, c in enumerate(cols):
+        out |= c << (j * n)
+    return out
+
+
+def unflatten_cols(vec: int, n: int) -> tuple[int, ...]:
+    """The columns of a matrix flattened by `flatten_cols`."""
+    mask = (1 << n) - 1
+    return tuple((vec >> (j * n)) & mask for j in range(n))
 
 
 class BitMatrix:
@@ -120,9 +134,6 @@ class BitMatrix:
                 if v & 1:
                     m.set(i, j, 1)
         return m
-
-    def copy(self) -> "BitMatrix":
-        return BitMatrix(self.rows, self.cols, self.data.copy())
 
     def get(self, i: int, j: int) -> int:
         return int((self.data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
@@ -311,15 +322,6 @@ class SpanBasis:
             raise ValueError("span was not built with track=True")
         v, c = self._reduce(v)
         return c if v == 0 else None
-
-    def copy(self) -> "SpanBasis":
-        s = SpanBasis(self.combos is not None)
-        s.pivots = list(self.pivots)
-        s.rows = list(self.rows)
-        if self.combos is not None:
-            s.combos = list(self.combos)
-        s.ngen = self.ngen
-        return s
 
 
 def span_equal(a: list[int], b: list[int]) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deriv import LinearMap
-from .gf2core import SpanBasis, bit_indices
+from .gf2core import SpanBasis, bit_indices, flatten_cols, unflatten_cols
 from .liesuper import EVEN, StructureConstants, center, derived_series_dims
 
 
@@ -67,15 +67,13 @@ def has_odd_ad_rank(g: StructureConstants, exhaustive_limit: int = 16) -> bool:
     """Whether any element has odd ad-rank; exhaustive when dim allows,
     otherwise over the basis-and-pairs sample."""
     if g.n <= exhaustive_limit:
-        ads = [_flat(g.ad_cols(1 << i), g.n) for i in range(g.n)]
+        ads = [flatten_cols(g.ad_cols(1 << i), g.n) for i in range(g.n)]
         for x in range(1, 1 << g.n):
             acc = 0
             for i in bit_indices(x):
                 acc ^= ads[i]
             s = SpanBasis()
-            mask = (1 << g.n) - 1
-            for j in range(g.n):
-                col = (acc >> (j * g.n)) & mask
+            for col in unflatten_cols(acc, g.n):
                 if col:
                     s.add(col)
             if s.dim & 1:
@@ -85,13 +83,6 @@ def has_odd_ad_rank(g: StructureConstants, exhaustive_limit: int = 16) -> bool:
         if r & 1:
             return True
     return False
-
-
-def _flat(cols, n):
-    out = 0
-    for j, c in enumerate(cols):
-        out |= c << (j * n)
-    return out
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import superfunc as sf
-from .gf2core import BitMatrix, SpanBasis, bit_indices
+from .gf2core import BitMatrix, SpanBasis, bit_indices, flatten_cols
 
 EVEN, ODD = 0, 1
 
@@ -224,19 +224,10 @@ class StructureConstants:
                             return AxiomReport(False, fails)
 
         if not self.graded_only:
-            for i in self.odd_indices():
-                si = self.sq[i]
-                for j in range(n):
-                    lhs = 0
-                    for m in bit_indices(si):
-                        lhs ^= self.brk[m][j]
-                    rhs = 0
-                    for m in bit_indices(self.brk[i][j]):
-                        rhs ^= self.brk[i][m]
-                    if lhs != rhs:
-                        fails.append(("squaring-jacobi", i, j))
-                        if len(fails) >= max_failures:
-                            return AxiomReport(False, fails)
+            for i, j in self._squaring_failures():
+                fails.append(("squaring-jacobi", i, j))
+                if len(fails) >= max_failures:
+                    return AxiomReport(False, fails)
 
         return AxiomReport(not fails, fails)
 
@@ -271,9 +262,8 @@ class StructureConstants:
                             return AxiomReport(False, fails)
         return AxiomReport(not fails, fails)
 
-    def jis_holds(self) -> bool:
-        """Whether the squaring identity holds over all basis pairs (the
-        test that separates honest superalgebras from desuperizations)."""
+    def _squaring_failures(self):
+        """Pairs (i, j), odd i first, where [s(e_i), e_j] != [e_i, [e_i, e_j]]."""
         for i in self.odd_indices():
             si = self.sq[i]
             for j in range(self.n):
@@ -284,8 +274,12 @@ class StructureConstants:
                 for m in bit_indices(self.brk[i][j]):
                     rhs ^= self.brk[i][m]
                 if lhs != rhs:
-                    return False
-        return True
+                    yield i, j
+
+    def jis_holds(self) -> bool:
+        """Whether the squaring identity holds over all basis pairs (the
+        test that separates honest superalgebras from desuperizations)."""
+        return next(self._squaring_failures(), None) is None
 
     def verify_form(self, B: BilinearFormTable, max_failures: int = 10) -> AxiomReport:
         """Symmetry, invariance B([f,h],g)=B(f,[h,g]), the odd-diagonal
@@ -630,11 +624,14 @@ def ad(g: StructureConstants, x: int) -> BitMatrix:
     return m
 
 
-def ad_rank(g: StructureConstants, x: int) -> int:
-    cols = g.ad_cols(x)
-    s = SpanBasis()
-    s.extend(cols)
-    return s.dim
+def inner_span(g: StructureConstants) -> SpanBasis:
+    """Span of the inner derivations, flattened by `flatten_cols`.  Tracked
+    generator k is ad(e_k), so a `solve` combination mask is the element
+    y with ad_y equal to the solved map."""
+    span = SpanBasis(track=True)
+    for k in range(g.n):
+        span.add(flatten_cols(g.ad_cols(1 << k), g.n))
+    return span
 
 
 def compose_cols(cols_a: list[int], cols_b: list[int]) -> list[int]:
@@ -658,30 +655,14 @@ class RestrictednessReport:
 def restrictedness_check(g: StructureConstants) -> RestrictednessReport:
     """For every even basis element x, decide whether (ad_x)^2 is an inner
     derivation ad_y, and record the witness y."""
-    span = SpanBasis(track=True)
-    gens = []
-    for k in range(g.n):
-        vec = _flatten_cols(g.ad_cols(1 << k), g.n)
-        span.add(vec)
-        gens.append(k)
+    span = inner_span(g)
     witnesses = {}
     failures = []
     for i in g.even_indices():
         ci = g.ad_cols(1 << i)
-        sq_cols = compose_cols(ci, ci)
-        combo = span.solve(_flatten_cols(sq_cols, g.n))
-        if combo is None:
+        y = span.solve(flatten_cols(compose_cols(ci, ci), g.n))
+        if y is None:
             failures.append(i)
         else:
-            y = 0
-            for k in bit_indices(combo):
-                y |= 1 << gens[k]
             witnesses[i] = y
     return RestrictednessReport(not failures, witnesses, failures)
-
-
-def _flatten_cols(cols: list[int], n: int) -> int:
-    out = 0
-    for j, c in enumerate(cols):
-        out |= c << (j * n)
-    return out

@@ -79,8 +79,6 @@ def test_naive_equals_blocked_all_size4(built):
         a = dv.derivation_space_naive(g)
         b = dv.derivation_space_blocked(g)
         assert dv.spaces_equal(a, b), fam.name
-        c = dv.derivation_space_blocked(g, parallel=True)
-        assert dv.spaces_equal(a, c), fam.name
 
 
 def test_preserves_nis_basics(built):
