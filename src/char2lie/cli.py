@@ -20,7 +20,7 @@ from . import deriv as dv
 from . import doubleext as dx
 from . import invariants as inv
 from . import liesuper as ls
-from .gf2core import BitMatrix, SpanBasis, bit_indices, echelon_complement
+from .gf2core import SpanBasis, bit_indices, echelon_complement
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE = 0, 1, 2
 
@@ -155,20 +155,26 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
                 gram = [0] * n
         elif parts[0] == "parity":
             bpar = 1 if parts[1] == "odd" else 0
+        elif parts[0] == "end":
+            break
+        elif brk is None:
+            raise ValueError(f"record {ln!r} before the basis record")
         elif parts[0] == "sq":
             sq[int(parts[1])] |= 1 << int(parts[2])
         elif parts[0] == "d":
             diag[int(parts[1])] |= 1 << int(parts[2])
         elif parts[0] == "B":
+            if gram is None:
+                raise ValueError(f"form record {ln!r} before the nis section")
             i, j = int(parts[1]), int(parts[2])
             gram[i] |= 1 << j
             gram[j] |= 1 << i
-        elif parts[0] == "end":
-            break
         else:
             i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
             brk[i][j] |= 1 << k
             brk[j][i] |= 1 << k  # symmetric closure
+    if brk is None:
+        raise ValueError("no basis record")
     if any(diag):
         meta["diag"] = tuple(diag)
     g = ls.StructureConstants(basis, brk, sq, meta=meta)
@@ -220,13 +226,10 @@ def _preserving_split(analysis_g, B, shift, solutions, inner_vecs):
     for k, v in enumerate(basis):
         for ij in dv.invariance_failures(dv.LinearMap.from_vec(v, n, *shift), B):
             cond[ij] = cond.get(ij, 0) | (1 << k)
-    if cond:
-        mat = BitMatrix.from_int_rows([cond[ij] for ij in sorted(cond)], len(basis))
-        kernel = [kv.bits for kv in mat.nullspace_basis()]
-    else:
-        kernel = [1 << k for k in range(len(basis))]
+    span = SpanBasis()
+    span.extend(cond[ij] for ij in sorted(cond))
     pres_full = []
-    for kv in kernel:
+    for kv in span.kernel(len(basis)):
         vec = 0
         for k in bit_indices(kv):
             vec ^= basis[k]
@@ -474,7 +477,9 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
-def _load_family(args) -> ls.FamilySpec:
+def _load_family(args):
+    """The family and a check that its parsed file equals the analysis's
+    algebra and form, so that a command builds the family once."""
     fam = _fam_from_args(args)
     path = Path(args.out) / f"{family_slug(fam)}.sca"
     if not path.exists():
@@ -483,22 +488,27 @@ def _load_family(args) -> ls.FamilySpec:
         parsed = sca_parse(path.read_text())
     except (ValueError, IndexError, KeyError) as e:
         raise VerificationError(f"{path} is not a valid SCA file: {e!r}") from e
-    bad = _sca_mismatch(*ls.build_algebra(fam), *parsed)
-    if bad:
-        raise VerificationError(f"{path} does not match a fresh build ({bad})")
-    return fam
+
+    def check(an: FamilyAnalysis) -> None:
+        bad = _sca_mismatch(an.g, an.B, *parsed)
+        if bad:
+            raise VerificationError(f"{path} does not match a fresh build ({bad})")
+
+    return fam, check
 
 
 def cmd_derivations(args) -> int:
-    fam = _load_family(args)
+    fam, check = _load_family(args)
     an = analyze_family(fam)
+    check(an)
     sys.stdout.write(render_derivation_report(an))
     return EXIT_OK
 
 
 def cmd_dex(args) -> int:
-    fam = _load_family(args)
+    fam, check = _load_family(args)
     an, rows, exts = dex_family(fam)
+    check(an)
     table = render_dex_table(fam, an, rows)
     csv = render_dex_csv(fam, rows)
     outdir = Path(args.out)
@@ -518,8 +528,9 @@ def cmd_dex(args) -> int:
 
 
 def cmd_identify(args) -> int:
-    fam = _load_family(args)
+    fam, check = _load_family(args)
     an, rows, exts = dex_family(fam)
+    check(an)
     ok = False
     for r in rows:
         if r.identified:

@@ -148,28 +148,6 @@ class DerivationSpace:
         return s
 
 
-def _der_row_entries(g: StructureConstants, rev, i: int, j: int, t: int):
-    """Unknown entries (target, source) of the Der1 equation for the pair
-    (i, j) at output coordinate t."""
-    entries = []
-    for m in bit_indices(g.brk[i][j]):
-        entries.append((t, m))
-    for u in bit_indices(rev[j][t]):
-        entries.append((u, i))
-    for u in bit_indices(rev[i][t]):
-        entries.append((u, j))
-    return entries
-
-
-def _der2_row_entries(g: StructureConstants, rev, i: int, t: int):
-    entries = []
-    for m in bit_indices(g.sq[i]):
-        entries.append((t, m))
-    for u in bit_indices(rev[i][t]):
-        entries.append((u, i))
-    return entries
-
-
 def _rev_table(g: StructureConstants) -> list[list[int]]:
     """rev[j][t] = mask of u with e_t appearing in [e_u, e_j]."""
     n = g.n
@@ -181,33 +159,51 @@ def _rev_table(g: StructureConstants) -> list[list[int]]:
     return rev
 
 
+def _equations(g: StructureConstants, bit):
+    """Every nonzero equation as (i, j, t, row): Der1 of the pair i < j
+    and, unless g is graded only, Der2 of odd i (given as j = i), at output
+    coordinate t.  bit[s][t] is the mask of the unknown D[t][s], the
+    coefficient of e_t in D e_s."""
+    n = g.n
+    rev = _rev_table(g)
+    revb = [[bit_indices(m) for m in row] for row in rev]
+    # output coordinates that bracketing with e_j can reach
+    tmask = [sum(1 << t for t in range(n) if rev[j][t]) for j in range(n)]
+    for i in range(n):
+        bi = bit[i]
+        for j in range(i + 1, n):
+            bj = bit[j]
+            prod = bit_indices(g.brk[i][j])
+            for t in range(n) if prod else bit_indices(tmask[i] | tmask[j]):
+                row = 0
+                for m in prod:
+                    row ^= bit[m][t]
+                for u in revb[j][t]:
+                    row ^= bi[u]
+                for u in revb[i][t]:
+                    row ^= bj[u]
+                if row:
+                    yield i, j, t, row
+    if not g.graded_only:
+        for i in g.odd_indices():
+            bi = bit[i]
+            sq = bit_indices(g.sq[i])
+            for t in range(n) if sq else bit_indices(tmask[i]):
+                row = 0
+                for m in sq:
+                    row ^= bit[m][t]
+                for u in revb[i][t]:
+                    row ^= bi[u]
+                if row:
+                    yield i, i, t, row
+
+
 def derivation_space_naive(g: StructureConstants) -> DerivationSpace:
     """One dense linear system over all n^2 entries.  Graded-only
     algebras (desuperizations) contribute no squaring equations."""
     n = g.n
-    rev = _rev_table(g)
-    rows = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            for t in range(n):
-                ent = _der_row_entries(g, rev, i, j, t)
-                if ent:
-                    row = 0
-                    for (a, b) in ent:
-                        row ^= 1 << (b * n + a)
-                    if row:
-                        rows.append(row)
-    if not g.graded_only:
-        for i in g.odd_indices():
-            for t in range(n):
-                ent = _der2_row_entries(g, rev, i, t)
-                if ent:
-                    row = 0
-                    for (a, b) in ent:
-                        row ^= 1 << (b * n + a)
-                    if row:
-                        rows.append(row)
-    mat = BitMatrix.from_int_rows(rows, n * n)
+    bit = [[1 << (s * n + t) for t in range(n)] for s in range(n)]
+    mat = BitMatrix.from_int_rows([row for *_, row in _equations(g, bit)], n * n)
     kernel = mat.nullspace_basis()
     maps = _homogenize(g, [k.bits for k in kernel])
     return _finish(g, maps, {"path": "naive", "blocks": 1, "max_block": n * n})
@@ -261,123 +257,53 @@ def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> Deriva
 def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     """Solve one independent system per grading shift."""
     n = g.n
-    rev = _rev_table(g)
-    key_of = [g.cell_key(i) for i in range(n)]
 
-    def shift(kt, ka, kb=None):
-        d = kt[0] - ka[0]
-        w = tuple(x - y for x, y in zip(kt[1], ka[1]))
-        p = kt[2] ^ ka[2]
-        if kb is not None:
-            d -= kb[0]
-            w = tuple(x - y for x, y in zip(w, kb[1]))
-            p ^= kb[2]
-        return (d, w, p)
+    def code(k) -> int:
+        # (degree, weights) in radix 2**16 above a parity bit, so that the
+        # code of a shift is a difference of codes plus the parity xor
+        # (one code per shift while degrees and weights stay below 2**12)
+        lin = k[0]
+        for w in k[1]:
+            lin = (lin << 16) + w
+        return lin << 1
 
-    # target masks reachable when bracketing with j
-    tmask = [0] * n
-    for j in range(n):
-        m = 0
-        for t in range(n):
-            if rev[j][t]:
-                m |= 1 << t
-        tmask[j] = m
+    kc = [code(g.cell_key(i)) for i in range(n)]
+    par = [g.parity(i) for i in range(n)]
 
-    block_rows: dict[ShiftKey, list[list[tuple[int, int]]]] = {}
-    for i in range(n):
-        ki = key_of[i]
-        for j in range(i + 1, n):
-            kj = key_of[j]
-            if g.brk[i][j]:
-                trange = range(n)
-            else:
-                trange = bit_indices(tmask[i] | tmask[j])
-            for t in trange:
-                ent = _der_row_entries(g, rev, i, j, t)
-                if ent:
-                    block_rows.setdefault(shift(key_of[t], ki, kj), []).append(ent)
-    if not g.graded_only:
-        for i in g.odd_indices():
-            ki = key_of[i]
-            k2 = (2 * ki[0], tuple(2 * w for w in ki[1]), 0)
-            if g.sq[i]:
-                trange = range(n)
-            else:
-                trange = bit_indices(tmask[i])
-            for t in trange:
-                ent = _der2_row_entries(g, rev, i, t)
-                if ent:
-                    block_rows.setdefault(shift(key_of[t], k2), []).append(ent)
+    # one block per shift between two cells, its unknowns D[t][s] in the
+    # order of the sorted source cells; a shift that no equation
+    # constrains keeps all of its unknowns free
+    cells = g.cells()
+    blocks: dict[int, tuple[ShiftKey, list[tuple[int, int]]]] = {}
+    bit = [[0] * n for _ in range(n)]
+    for ks, src in sorted(cells.items()):
+        for kt, tgt in cells.items():
+            c = code(kt) - code(ks) + (kt[2] ^ ks[2])
+            if c not in blocks:
+                blocks[c] = ((kt[0] - ks[0], tuple(a - b for a, b in zip(kt[1], ks[1])), kt[2] ^ ks[2]), [])
+            ents = blocks[c][1]
+            for s in src:
+                for t in tgt:
+                    bit[s][t] = 1 << len(ents)
+                    ents.append((t, s))
 
-    # unknown entry enumeration per shift
-    cells: dict[tuple, list[int]] = {}
-    for i, k in enumerate(key_of):
-        cells.setdefault(k, []).append(i)
-
-    def entries_for(skey: ShiftKey) -> list[tuple[int, int]]:
-        ents = []
-        d, w, p = skey
-        for ck, src in sorted(cells.items()):
-            tk = (ck[0] + d, tuple(a + b for a, b in zip(ck[1], w)), ck[2] ^ p)
-            tgt = cells.get(tk)
-            if tgt:
-                for s in src:
-                    for t in tgt:
-                        ents.append((t, s))
-        return ents
-
-    shifts = sorted(block_rows)
-
-    def solve_block(skey: ShiftKey):
-        ents = entries_for(skey)
-        if not ents:
-            return [], 0
-        col_of = {e: c for c, e in enumerate(ents)}
-        ncols = len(ents)
-        rows = []
-        for ent in block_rows[skey]:
-            row = 0
-            for e in ent:
-                row ^= 1 << col_of[e]
-            if row:
-                rows.append(row)
-        if not rows:
-            sols = [1 << c for c in range(ncols)]
-        else:
-            mat = BitMatrix.from_int_rows(rows, ncols)
-            sols = [v.bits for v in mat.nullspace_basis()]
-        maps = []
-        for svec in sols:
-            cols = [0] * n
-            for c in bit_indices(svec):
-                t, s = ents[c]
-                cols[s] |= 1 << t
-            maps.append(LinearMap(tuple(cols), *skey))
-        return maps, ncols
+    rows: dict[int, set[int]] = {c: set() for c in blocks}
+    for i, j, t, row in _equations(g, bit):
+        rows[kc[t] - kc[i] - kc[j] + (par[t] ^ par[i] ^ par[j])].add(row)
 
     maps = []
-    max_block = 0
-    for block_maps, ncols in map(solve_block, shifts):
-        maps.extend(block_maps)
-        max_block = max(max_block, ncols)
-
-    # shifts with unknowns but no constraining rows at all
-    seen = set(shifts)
-    extra_keys = set()
-    for ck in cells:
-        for tk in cells:
-            s = shift(tk, ck)
-            if s not in seen:
-                extra_keys.add(s)
-    for skey in sorted(extra_keys):
-        ents = entries_for(skey)
-        for (t, srz) in ents:
+    for c in sorted(blocks, key=lambda c: blocks[c][0]):
+        skey, ents = blocks[c]
+        span = SpanBasis()
+        span.extend(rows[c])
+        for svec in span.kernel(len(ents)):
             cols = [0] * n
-            cols[srz] = 1 << t
+            for k in bit_indices(svec):
+                t, s = ents[k]
+                cols[s] |= 1 << t
             maps.append(LinearMap(tuple(cols), *skey))
-        max_block = max(max_block, len(ents))
 
-    stats = {"path": "blocked", "blocks": len(shifts) + len(extra_keys), "max_block": max_block}
+    stats = {"path": "blocked", "blocks": len(blocks), "max_block": max((len(e) for _, e in blocks.values()), default=0)}
     return _finish(g, maps, stats)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .deriv import LinearMap, bilinear_invariant
-from .gf2core import BitMatrix, BitVector, SpanBasis, bit_indices, flatten_cols
+from .gf2core import SpanBasis, bit_indices, flatten_cols, solve_affine
 from .liesuper import (
     EVEN,
     ODD,
@@ -432,10 +432,7 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
             for j in y_idx:
                 if (target.bracket_vec(1 << iota[j], 1 << iota[k]) >> t) & 1:
                     coeff |= 1 << unk_y(j)
-            if coeff:
-                rows.append((coeff, rhs_bit))
-            elif rhs_bit:
-                return None
+            rows.append((coeff, rhs_bit))
 
     # E3: squarings of odd a-elements (super mode only)
     if not (g.graded_only or target.graded_only):
@@ -460,21 +457,18 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
             rows.append((coeff, kappa ^ qbit))
 
     # solve the linear system over GF(2)
-    mat = BitMatrix.from_int_rows([r for r, _ in rows], nun) if rows else BitMatrix.zeros(0, nun)
-    rhs = BitVector.from_indices(len(rows), [i for i, (_, b) in enumerate(rows) if b])
-    sol = mat.solve(rhs) if rows else BitVector(nun, 0)
-    if sol is None:
+    solved = solve_affine(rows, nun)
+    if solved is None:
         return None
-    kernel = mat.nullspace_basis() if rows else [BitVector(nun, 1 << i) for i in range(nun)]
+    base, kernel = solved
 
     # enumerate the whole affine solution set to satisfy the quadratic
     # conditions (squaring of D, and full verification); the kernel is at
     # most 1-dimensional for every standard family at sizes 4-6
-    base = sol.bits
     for mask in range(1 << len(kernel)):
         s = base
         for i in bit_indices(mask):
-            s ^= kernel[i].bits
+            s ^= kernel[i]
         cols = [0] * n
         cols[0] = 1 << one
         for k in range(na):

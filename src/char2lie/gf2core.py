@@ -1,14 +1,16 @@
-"""Bit-packed exact linear algebra over GF(2).
+"""Exact linear algebra over GF(2).
 
 Vectors are plain Python ints used as bitmasks (bit i = coordinate i).
-Matrices pack rows into numpy uint64 words, row-major, so elimination is
-a word-wide xor.  Pivoting is deterministic (first nonzero column, lowest
-row), which makes echelon forms, nullspace bases and solutions
-reproducible across runs.
+`SpanBasis` keeps their reduced row echelon form and eliminates every
+small system; numpy `BitMatrix` (rows packed into uint64 words) serves
+only the dense naive derivation oracle, where a word-wide xor pays.
+Pivoting is deterministic (first nonzero column, lowest row), so echelon
+forms, nullspace bases and solutions are reproducible across runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,7 @@ __all__ = [
     "SpanBasis",
     "rank",
     "nullspace_basis",
-    "solve",
+    "solve_affine",
     "flatten_cols",
     "unflatten_cols",
 ]
@@ -172,44 +174,36 @@ class BitMatrix:
             bits |= 1 << int(i)
         return BitVector(self.rows, bits)
 
-    def _eliminate(self, data: np.ndarray, full: bool) -> list[int]:
-        rows = data.shape[0]
+    def rank(self) -> int:
+        return len(self.rref()[0])
+
+    def rref(self) -> tuple[list[int], list[int]]:
+        """Reduced row echelon form: (pivot columns, nonzero rows as ints).
+        Buffers are allocated once, not per pivot column."""
+        data = self.data.copy()
+        nrows = data.shape[0]
+        bits = np.empty(nrows, dtype=np.uint64)
+        mask = np.empty(nrows, dtype=bool)
         pivots = []
         r = 0
         for c in range(self.cols):
-            if r == rows:
+            if r == nrows:
                 break
-            w, b = c >> 6, np.uint64(c & 63)
-            col = (data[r:, w] >> b) & np.uint64(1)
-            nz = np.nonzero(col)[0]
-            if nz.size == 0:
+            np.bitwise_and(data[:, c >> 6], np.uint64(1) << np.uint64(c & 63), out=bits)
+            np.not_equal(bits, 0, out=mask)
+            p = r + int(np.argmax(mask[r:]))
+            if not mask[p]:
                 continue
-            p = r + int(nz[0])
             if p != r:
                 data[[r, p]] = data[[p, r]]
-            if full:
-                mask = ((data[:, w] >> b) & np.uint64(1)).astype(bool)
-                mask[r] = False
-            else:
-                mask = np.zeros(rows, dtype=bool)
-                sub = ((data[r + 1 :, w] >> b) & np.uint64(1)).astype(bool)
-                mask[r + 1 :] = sub
-            if mask.any():
-                data[mask] ^= data[r]
+            # mask[r] is False when p != r: p is the first set row at or after r
+            mask[p] = False
+            hit = np.flatnonzero(mask)
+            if hit.size:
+                data[hit] ^= data[r]
             pivots.append(c)
             r += 1
-        return pivots
-
-    def rank(self) -> int:
-        data = self.data.copy()
-        return len(self._eliminate(data, full=False))
-
-    def rref(self) -> tuple[list[int], list[int]]:
-        """Reduced row echelon form: (pivot columns, nonzero rows as ints)."""
-        data = self.data.copy()
-        pivots = self._eliminate(data, full=True)
-        rows = [_words_to_int(data[i]) for i in range(len(pivots))]
-        return pivots, rows
+        return pivots, [_words_to_int(data[i]) for i in range(r)]
 
     def nullspace_basis(self) -> list[BitVector]:
         """Basis of {x : M x = 0}; one vector per free column, ascending."""
@@ -226,24 +220,6 @@ class BitMatrix:
             basis.append(BitVector(self.cols, bits))
         return basis
 
-    def solve(self, b: BitVector) -> BitVector | None:
-        """A solution x of M x = b, or None when inconsistent."""
-        if b.length != self.rows:
-            raise ValueError("dimension mismatch")
-        aug = BitMatrix(self.rows, self.cols + 1)
-        aug.data[:, : self.words] = self.data
-        for i in range(self.rows):
-            if b.get(i):
-                aug.set(i, self.cols, 1)
-        pivots, rows = aug.rref()
-        bits = 0
-        for prow, pcol in zip(rows, pivots):
-            if pcol == self.cols:
-                return None
-            if (prow >> self.cols) & 1:
-                bits |= 1 << pcol
-        return BitVector(self.cols, bits)
-
 
 def rank(m: BitMatrix) -> int:
     return m.rank()
@@ -253,16 +229,14 @@ def nullspace_basis(m: BitMatrix) -> list[BitVector]:
     return m.nullspace_basis()
 
 
-def solve(m: BitMatrix, b: BitVector) -> BitVector | None:
-    return m.solve(b)
-
-
 class SpanBasis:
     """Incremental GF(2) span of int-bitmask vectors, kept in reduced
-    echelon form (pivot = lowest set bit).
+    echelon form (pivot = lowest set bit), rows in ascending pivot order.
 
-    With track=True every stored row remembers which inserted generators
-    express it, so `solve` can return a combination certificate.
+    This is the eliminator for every small system: insert the equation
+    rows, then read off `kernel`.  With track=True every stored row
+    remembers which inserted generators express it, so `solve` can
+    return a combination certificate.
     """
 
     def __init__(self, track: bool = False):
@@ -270,17 +244,23 @@ class SpanBasis:
         self.rows: list[int] = []
         self.combos: list[int] | None = [] if track else None
         self.ngen = 0
+        self._pivmask = 0
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def _reduce(self, v: int, c: int = 0) -> tuple[int, int]:
-        for i, p in enumerate(self.pivots):
-            if (v >> p) & 1:
-                v ^= self.rows[i]
-                if self.combos is not None:
-                    c ^= self.combos[i]
+        # rows are fully reduced: xoring one clears its own pivot bit of v
+        # and no other, so the pivots to clear are known up front
+        hits = v & self._pivmask
+        while hits:
+            low = hits & -hits
+            i = bisect_left(self.pivots, low.bit_length() - 1)
+            v ^= self.rows[i]
+            if self.combos is not None:
+                c ^= self.combos[i]
+            hits ^= low
         return v, c
 
     def add(self, v: int) -> bool:
@@ -297,13 +277,12 @@ class SpanBasis:
                 self.rows[i] ^= v
                 if self.combos is not None:
                     self.combos[i] ^= c
-        k = 0
-        while k < len(self.pivots) and self.pivots[k] < p:
-            k += 1
+        k = bisect_left(self.pivots, p)
         self.pivots.insert(k, p)
         self.rows.insert(k, v)
         if self.combos is not None:
             self.combos.insert(k, c)
+        self._pivmask |= 1 << p
         return True
 
     def extend(self, vs) -> None:
@@ -322,6 +301,34 @@ class SpanBasis:
             raise ValueError("span was not built with track=True")
         v, c = self._reduce(v)
         return c if v == 0 else None
+
+    def kernel(self, ncols: int) -> list[int]:
+        """Basis of {x < 2**ncols : r.x = 0 for every row r}, the rows cut
+        to their first ncols coordinates: one vector per free column,
+        ascending, holding the free column and the pivots that cancel it
+        (the bits of `BitMatrix.nullspace_basis` on the same rows)."""
+        low = (1 << ncols) - 1
+        dep: dict[int, int] = {}
+        for p, row in zip(self.pivots, self.rows):
+            for f in bit_indices((row ^ (1 << p)) & low):
+                dep[f] = dep.get(f, 0) | (1 << p)
+        return [dep.get(f, 0) | (1 << f) for f in range(ncols) if not (self._pivmask >> f) & 1]
+
+
+def solve_affine(rows, ncols: int) -> tuple[int, list[int]] | None:
+    """Solutions of the (coefficient mask, rhs bit) equations over `ncols`
+    unknowns, read off one rref of the augmented rows (rhs = column
+    ncols): None when inconsistent, else (the solution with every free
+    unknown 0, a `kernel` basis)."""
+    span = SpanBasis()
+    span.extend(coeff | (rhs << ncols) for coeff, rhs in rows)
+    if span.pivots and span.pivots[-1] >= ncols:
+        return None
+    x = 0
+    for p, row in zip(span.pivots, span.rows):
+        if (row >> ncols) & 1:
+            x |= 1 << p
+    return x, span.kernel(ncols)
 
 
 def span_equal(a: list[int], b: list[int]) -> bool:

@@ -40,26 +40,35 @@ def super_rank(g: StructureConstants, op) -> SuperRank:
     return SuperRank(ev.dim, od.dim)
 
 
-def ad_rank(g: StructureConstants, x: int) -> int:
+def _col_rank(cols) -> int:
     s = SpanBasis()
-    for c in g.ad_cols(x):
-        if c:
-            s.add(c)
+    s.extend(cols)
     return s.dim
+
+
+def ad_rank(g: StructureConstants, x: int) -> int:
+    return _col_rank(g.ad_cols(x))
+
+
+def _basis_ad_cols(g: StructureConstants) -> list[list[int]]:
+    """ad(e_i) as columns, for every i: by bilinearity the columns of
+    ad(x) are the xor of these over the support of x."""
+    return [g.ad_cols(1 << i) for i in range(g.n)]
 
 
 def ad_rank_spectrum(g: StructureConstants) -> tuple[int, ...]:
     """Sorted multiset of ad-ranks over the basis."""
-    return tuple(sorted(ad_rank(g, 1 << i) for i in range(g.n)))
+    return tuple(sorted(_col_rank(cols) for cols in _basis_ad_cols(g)))
 
 
 def pair_rank_spectrum(g: StructureConstants) -> tuple[int, ...]:
     """Sorted multiset of ad-ranks over sums of two distinct basis
     elements, the deterministic non-basis sample."""
+    ads = _basis_ad_cols(g)
     out = []
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            out.append(ad_rank(g, (1 << i) | (1 << j)))
+            out.append(_col_rank(a ^ b for a, b in zip(ads[i], ads[j])))
     return tuple(sorted(out))
 
 
@@ -67,16 +76,12 @@ def has_odd_ad_rank(g: StructureConstants, exhaustive_limit: int = 16) -> bool:
     """Whether any element has odd ad-rank; exhaustive when dim allows,
     otherwise over the basis-and-pairs sample."""
     if g.n <= exhaustive_limit:
-        ads = [flatten_cols(g.ad_cols(1 << i), g.n) for i in range(g.n)]
+        ads = [flatten_cols(cols, g.n) for cols in _basis_ad_cols(g)]
         for x in range(1, 1 << g.n):
             acc = 0
             for i in bit_indices(x):
                 acc ^= ads[i]
-            s = SpanBasis()
-            for col in unflatten_cols(acc, g.n):
-                if col:
-                    s.add(col)
-            if s.dim & 1:
+            if _col_rank(unflatten_cols(acc, g.n)) & 1:
                 return True
         return False
     for r in ad_rank_spectrum(g) + pair_rank_spectrum(g):

@@ -43,8 +43,9 @@ class BilinearFormTable:
         return v
 
     def is_nondegenerate(self) -> bool:
-        m = BitMatrix.from_int_rows(list(self.gram), self.n)
-        return m.rank() == self.n
+        span = SpanBasis()
+        span.extend(self.gram)
+        return span.dim == self.n
 
     def orthogonal_complement(self, vectors: list[int]) -> list[int]:
         """Basis of the subspace orthogonal to all given vectors."""
@@ -55,8 +56,9 @@ class BilinearFormTable:
                 if self.pairing(1 << i, v):
                     row |= 1 << i
             rows.append(row)
-        m = BitMatrix.from_int_rows(rows, self.n)
-        return [b.bits for b in m.nullspace_basis()]
+        span = SpanBasis()
+        span.extend(rows)
+        return span.kernel(self.n)
 
 
 @dataclass
@@ -519,19 +521,15 @@ def derived_series_dims(g: StructureConstants, limit: int = 10) -> list[int]:
 
 def center(g: StructureConstants) -> Subspace:
     """{x : [x, g] = 0}, computed as a nullspace."""
-    rows = []
+    span = SpanBasis()
     for j in range(g.n):
         for t in range(g.n):
             row = 0
             for i in range(g.n):
                 if (g.brk[i][j] >> t) & 1:
                     row |= 1 << i
-            if row:
-                rows.append(row)
-    if not rows:
-        return Subspace(g, [1 << k for k in range(g.n)])
-    m = BitMatrix.from_int_rows(rows, g.n)
-    return Subspace(g, [b.bits for b in m.nullspace_basis()])
+            span.add(row)
+    return Subspace(g, span.kernel(g.n))
 
 
 def odd_squares_span(g: StructureConstants) -> list[int]:

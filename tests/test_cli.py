@@ -57,7 +57,11 @@ def _non_integer_bracket(text):
     return head + sep + " ".join([first.split()[0], "x", first.split()[2]]) + nl + tail
 
 
-@pytest.mark.parametrize("corrupt", [_drop_form_lines, _bad_square, _non_integer_bracket])
+def _bracket_above_basis(text):
+    return text.replace("basis ", "0 1 2\nbasis ", 1)
+
+
+@pytest.mark.parametrize("corrupt", [_drop_form_lines, _bad_square, _non_integer_bracket, _bracket_above_basis])
 def test_corrupt_sca_rejected(tmp_path, capsys, corrupt):
     args = ["--family", "h", "--form", "Pi", "--even", "0", "--odd", "4", "--out", str(tmp_path)]
     assert run_cli("build", *args) == 0
@@ -68,6 +72,18 @@ def test_corrupt_sca_rejected(tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert run_cli("derivations", *args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_commands_build_the_family_once(tmp_path, capsys, monkeypatch):
+    args = ["--family", "h", "--form", "Pi", "--even", "0", "--odd", "4", "--out", str(tmp_path)]
+    assert run_cli("build", *args) == 0
+    calls = []
+    build = ls.build_algebra
+    monkeypatch.setattr(ls, "build_algebra", lambda fam: calls.append(fam) or build(fam))
+    for cmd in ("derivations", "dex", "identify"):
+        calls.clear()
+        assert run_cli(cmd, *args) == 0
+        assert len(calls) == 1, cmd
 
 
 def test_cmd_derivations_missing_input(tmp_path):

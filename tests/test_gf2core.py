@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from char2lie.gf2core import (
     BitMatrix,
@@ -11,7 +13,7 @@ from char2lie.gf2core import (
     echelon_complement,
     nullspace_basis,
     rank,
-    solve,
+    solve_affine,
     span_equal,
 )
 
@@ -100,12 +102,16 @@ def test_nullspace_recheck_random():
             assert span.add(v.bits)
 
 
+def _equations(m: BitMatrix, b: BitVector):
+    return [(row, b.get(i)) for i, row in enumerate(m.int_rows())]
+
+
 def test_solve_identity_and_inconsistent():
     ident = BitMatrix.identity(4)
     b = BitVector.from_indices(4, [1, 3])
-    assert ident.solve(b).bits == b.bits
+    assert solve_affine(_equations(ident, b), 4)[0] == b.bits
     zero = BitMatrix.zeros(3, 3)
-    assert zero.solve(BitVector.from_indices(3, [0])) is None
+    assert solve_affine(_equations(zero, BitVector.from_indices(3, [0])), 3) is None
 
 
 def test_solve_substitution_recheck():
@@ -115,9 +121,9 @@ def test_solve_substitution_recheck():
         m = BitMatrix.from_dense(rows)
         x0 = BitVector(5, rng.randrange(32))
         b = m.mat_vec(x0)
-        x = m.solve(b)
-        assert x is not None
-        assert m.mat_vec(x).bits == b.bits
+        solved = solve_affine(_equations(m, b), 5)
+        assert solved is not None
+        assert m.mat_vec(BitVector(5, solved[0])).bits == b.bits
 
 
 def test_rank_nullity():
@@ -164,3 +170,31 @@ def test_bitvector_xor_and_validation():
     assert v.support() == [0, 4]
     with pytest.raises(ValueError):
         BitVector(3, 8)
+
+
+@st.composite
+def _systems(draw):
+    """(ncols, equations): up to 40 rows over 1-130 unknowns, each row dense
+    or of weight at most 3, so that dependent and inconsistent systems
+    occur as well as full-rank ones."""
+    ncols = draw(st.sampled_from([63, 64, 65]) | st.integers(1, 130))
+    sparse = st.sets(st.integers(0, ncols - 1), max_size=3).map(lambda s: sum(1 << i for i in s))
+    row = st.integers(0, (1 << ncols) - 1) | sparse
+    return ncols, draw(st.lists(st.tuples(row, st.integers(0, 1)), max_size=40))
+
+
+@settings(derandomize=True, database=None)
+@given(_systems())
+def test_span_kernel_and_solve_agree_with_bitmatrix(system):
+    ncols, eqs = system
+    rows = [r for r, _ in eqs]
+    span = SpanBasis()
+    span.extend(rows)
+    assert span.kernel(ncols) == [v.bits for v in BitMatrix.from_int_rows(rows, ncols).nullspace_basis()]
+    aug_pivots, _ = BitMatrix.from_int_rows([r | (b << ncols) for r, b in eqs], ncols + 1).rref()
+    solved = solve_affine(eqs, ncols)
+    assert (solved is None) == (ncols in aug_pivots)
+    if solved is not None:
+        x, kernel = solved
+        assert all((r & x).bit_count() & 1 == b for r, b in eqs)
+        assert kernel == span.kernel(ncols)
