@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import superfunc as sf
-from .gf2core import BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, span_equal, unflatten_cols
+from .gf2core import (BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, span_equal, transpose,
+                      unflatten_cols, xor_rows)
 from .liesuper import BilinearFormTable, FamilySpec, StructureConstants, build_algebra, inner_span
 
 ShiftKey = tuple  # (degree shift, weight shift tuple, parity shift)
@@ -32,10 +33,7 @@ class LinearMap:
         return len(self.cols)
 
     def apply(self, x: int) -> int:
-        out = 0
-        for i in bit_indices(x):
-            out ^= self.cols[i]
-        return out
+        return xor_rows(self.cols, x)
 
     def is_zero(self) -> bool:
         return not any(self.cols)
@@ -56,10 +54,11 @@ class LinearMap:
 def invariance_failures(D: LinearMap, B: BilinearFormTable):
     """Basis pairs (i, j), i <= j, in order, where B(Dei,ej) != B(ei,Dej)."""
     n = len(D.cols)
-    for i in range(n):
-        for j in range(i, n):
-            if B.pairing(D.cols[i], 1 << j) ^ B.pairing(1 << i, D.cols[j]):
-                yield i, j
+    # rhs[i]: mask of the j with B(e_i, D e_j) = 1
+    rhs = transpose([B.right(c) for c in D.cols], n)
+    for i, c in enumerate(D.cols):
+        for j in bit_indices((B.left(c) ^ rhs[i]) & (-1 << i)):
+            yield i, j
 
 
 def bilinear_invariant(D: LinearMap, B: BilinearFormTable) -> bool:

@@ -133,13 +133,10 @@ def build(case: str, a: StructureConstants, B: BilinearFormTable, data: Extensio
     N = n + 2
     brk = [[0] * N for _ in range(N)]
     for i in range(n):
+        left = B.left(D.cols[i])  # bit j: B(D e_i, e_j), the c-component of [e_i, e_j]
         for j in range(n):
-            if i == j:
-                continue
-            vec = a.brk[i][j] << 1
-            if B.pairing(D.cols[i], 1 << j):
-                vec |= 1
-            brk[i + 1][j + 1] = vec
+            if i != j:
+                brk[i + 1][j + 1] = (a.brk[i][j] << 1) | ((left >> j) & 1)
     for i in range(n):
         vec = D.cols[i] << 1
         brk[N - 1][i + 1] = vec
@@ -422,17 +419,14 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
             if g.parity(i + 1) == pc:
                 beta_coeff |= 1 << unk_beta(i)
         rhs_fixed = target.bracket_vec(1 << top, 1 << iota[k])
-        # y-part: sum y_j [e_j, e_k]_T
-        # vector equation over all target coords:
-        for t in range(n):
-            coeff = 0
-            rhs_bit = ((lhs_fixed ^ rhs_fixed) >> t) & 1
-            if t == one:
-                coeff ^= beta_coeff
-            for j in y_idx:
-                if (target.bracket_vec(1 << iota[j], 1 << iota[k]) >> t) & 1:
-                    coeff |= 1 << unk_y(j)
-            rows.append((coeff, rhs_bit))
+        # y-part: sum y_j [e_j, e_k]_T, one row per target coordinate t
+        coeffs = [0] * n
+        coeffs[one] = beta_coeff
+        for j in y_idx:
+            for t in bit_indices(target.bracket_vec(1 << iota[j], 1 << iota[k])):
+                coeffs[t] |= 1 << unk_y(j)
+        for t, coeff in enumerate(coeffs):
+            rows.append((coeff, ((lhs_fixed ^ rhs_fixed) >> t) & 1))
 
     # E3: squarings of odd a-elements (super mode only)
     if not (g.graded_only or target.graded_only):

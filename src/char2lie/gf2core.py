@@ -79,6 +79,26 @@ def bit_indices(x: int) -> list[int]:
     return out
 
 
+def xor_rows(rows, x: int) -> int:
+    """XOR of rows[i] over the set bits i of x: the image of x under the
+    matrix whose rows (or columns) are the given masks."""
+    out = 0
+    for i in bit_indices(x):
+        out ^= rows[i]
+    return out
+
+
+def transpose(rows, ncols: int) -> list[int]:
+    """Rows of the transpose of a matrix given by its rows as masks below
+    2^ncols; the cost is one step per set bit."""
+    out = [0] * ncols
+    for i, r in enumerate(rows):
+        bit = 1 << i
+        for j in bit_indices(r):
+            out[j] |= bit
+    return out
+
+
 def flatten_cols(cols, n: int) -> int:
     """One n*n-bit vector of an n x n matrix given by its columns: column j
     occupies bits j*n .. j*n+n-1."""

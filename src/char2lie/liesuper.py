@@ -10,9 +10,10 @@ polarization: s(x) = sum s(e_i) + sum_{i<j} [e_i, e_j] over the support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import superfunc as sf
-from .gf2core import BitMatrix, SpanBasis, bit_indices, flatten_cols
+from .gf2core import BitMatrix, SpanBasis, bit_indices, flatten_cols, transpose, xor_rows
 
 EVEN, ODD = 0, 1
 
@@ -27,7 +28,8 @@ class BasisElement:
 
 @dataclass(frozen=True)
 class BilinearFormTable:
-    """Gram matrix over GF(2), rows as int masks."""
+    """Gram matrix over GF(2), rows as int masks: bit j of gram[i] is
+    B(e_i, e_j)."""
 
     gram: tuple[int, ...]
     parity: int
@@ -36,11 +38,21 @@ class BilinearFormTable:
     def n(self) -> int:
         return len(self.gram)
 
+    @cached_property
+    def gram_t(self) -> tuple[int, ...]:
+        """Rows of the transposed Gram matrix: bit i of gram_t[j] is B(e_i, e_j)."""
+        return tuple(transpose(self.gram, self.n))
+
+    def left(self, x: int) -> int:
+        """Mask of the j with B(x, e_j) = 1."""
+        return xor_rows(self.gram, x)
+
+    def right(self, y: int) -> int:
+        """Mask of the i with B(e_i, y) = 1."""
+        return xor_rows(self.gram_t, y)
+
     def pairing(self, x: int, y: int) -> int:
-        v = 0
-        for i in bit_indices(x):
-            v ^= (self.gram[i] & y).bit_count() & 1
-        return v
+        return (self.left(x) & y).bit_count() & 1
 
     def is_nondegenerate(self) -> bool:
         span = SpanBasis()
@@ -49,15 +61,8 @@ class BilinearFormTable:
 
     def orthogonal_complement(self, vectors: list[int]) -> list[int]:
         """Basis of the subspace orthogonal to all given vectors."""
-        rows = []
-        for v in vectors:
-            row = 0
-            for i in range(self.n):
-                if self.pairing(1 << i, v):
-                    row |= 1 << i
-            rows.append(row)
         span = SpanBasis()
-        span.extend(rows)
+        span.extend(self.right(v) for v in vectors)
         return span.kernel(self.n)
 
 
@@ -235,33 +240,53 @@ class StructureConstants:
 
     def _verify_leibniz(self, max_failures: int = 10) -> AxiomReport:
         """Left Leibniz identity [x,[y,z]] = [[x,y],z] + [y,[x,z]] over
-        all basis triples (diagonal included), plus table symmetry."""
+        all basis triples (diagonal included), plus table symmetry.
+
+        For each x the three terms over all (y, z) are one int each, the
+        value for (y, z) in the w-bit slot at bit (y*n + z)*w, w = n rounded
+        up to whole bytes so that tables are built from bytes in linear
+        time.  Q[m] has bit 0 of slot (y, z) set when m is in [y, z], so
+        the XOR of Q[m] << t over the bits t of [x, e_m] is [x,[y,z]] slot
+        by slot."""
         fails: list[tuple] = []
         n = self.n
-        dg = self.diag
-
-        def tbl(i, j):
-            return dg[i] if i == j else self.brk[i][j]
-
         for i in range(n):
             for j in range(i + 1, n):
                 if self.brk[i][j] != self.brk[j][i]:
                     fails.append(("symmetry", i, j))
-        for x in range(n):
-            for y in range(n):
-                for z in range(n):
-                    lhs = 0
-                    for m in bit_indices(tbl(y, z)):
-                        lhs ^= tbl(x, m)
-                    rhs = 0
-                    for m in bit_indices(tbl(x, y)):
-                        rhs ^= tbl(m, z)
-                    for m in bit_indices(tbl(x, z)):
-                        rhs ^= tbl(y, m)
-                    if lhs != rhs:
-                        fails.append(("leibniz", x, y, z))
-                        if len(fails) >= max_failures:
-                            return AxiomReport(False, fails)
+        tbl = self.table()
+        k = (n + 7) // 8  # bytes per slot
+        w = 8 * k
+        blk = n * k  # bytes per y-block of n slots
+        q = [bytearray(n * blk) for _ in range(n)]
+        for y, row in enumerate(tbl):
+            for z, v in enumerate(row):
+                for m in bit_indices(v):
+                    q[m][y * blk + z * k] = 1
+        Q = [int.from_bytes(b, "little") for b in q]
+        del q
+        # R[m]: [m, z] in slot z of one y-block; C[m]: [y, m] in slot (y, 0)
+        R = [int.from_bytes(b"".join(v.to_bytes(k, "little") for v in row), "little") for row in tbl]
+        pad = bytes(blk - k)
+        C = [int.from_bytes(b"".join(row[m].to_bytes(k, "little") + pad for row in tbl), "little") for m in range(n)]
+        for x, tx in enumerate(tbl):
+            lhs = 0
+            for m, v in enumerate(tx):
+                for t in bit_indices(v):
+                    lhs ^= Q[m] << t
+            # [[x,y],z]: block y is the XOR of R[m] over m in [x, y]
+            rhs = int.from_bytes(b"".join(xor_rows(R, v).to_bytes(blk, "little") for v in tx), "little")
+            # [y,[x,z]]: C[m] over m in [x, z], moved to slot z
+            for z, v in enumerate(tx):
+                if v:
+                    rhs ^= xor_rows(C, v) << (z * w)
+            diff = lhs ^ rhs
+            while diff:
+                slot = ((diff & -diff).bit_length() - 1) // w
+                fails.append(("leibniz", x) + divmod(slot, n))
+                if len(fails) >= max_failures:
+                    return AxiomReport(False, fails)
+                diff &= -1 << ((slot + 1) * w)
         return AxiomReport(not fails, fails)
 
     def _squaring_failures(self):
@@ -283,40 +308,53 @@ class StructureConstants:
         test that separates honest superalgebras from desuperizations)."""
         return next(self._squaring_failures(), None) is None
 
+    def table(self) -> list[list[int]]:
+        """Bracket rows with the diagonal [e_i, e_i] taken from `diag`
+        (zero for Lie objects, whatever brk[i][i] holds)."""
+        return [row[:i] + [d] + row[i + 1 :] for i, (row, d) in enumerate(zip(self.brk, self.diag))]
+
     def verify_form(self, B: BilinearFormTable, max_failures: int = 10) -> AxiomReport:
         """Symmetry, invariance B([f,h],g)=B(f,[h,g]), the odd-diagonal
-        conditions, and (unless graded-only) B(f^2, g) = B(f, [f,g])."""
+        conditions, and (unless graded-only) B(f^2, g) = B(f, [f,g]).
+
+        Each identity is checked a whole row at a time: for fixed (h, i) the
+        masks over j of B([e_i,e_h], e_j) and of B(e_i, [e_h,e_j]) are
+        compared, and their difference lists the failures in order."""
         fails: list[tuple] = []
         n = self.n
+        gram, gram_t = B.gram, B.gram_t
+        pmask = [self.parity_mask(EVEN), self.parity_mask(ODD)]
         for i in range(n):
-            if B.pairing(1 << i, 1 << i) and self.parity(i) == ODD and not self.graded_only:
+            if (gram[i] >> i) & 1 and self.parity(i) == ODD and not self.graded_only:
                 fails.append(("form-odd-diagonal", i))
-            for j in range(i, n):
-                if B.pairing(1 << i, 1 << j) != B.pairing(1 << j, 1 << i):
+            upper = -1 << i
+            asym = (gram[i] ^ gram_t[i]) & upper
+            # B(e_i, e_j) may be nonzero only where p(i) + p(j) = p(B)
+            wrong = gram[i] & pmask[self.parity(i) ^ B.parity ^ 1] & upper
+            for j in bit_indices(asym | wrong):
+                if (asym >> j) & 1:
                     fails.append(("form-symmetry", i, j))
-                if B.pairing(1 << i, 1 << j) and (self.parity(i) ^ self.parity(j)) != B.parity:
+                if (wrong >> j) & 1:
                     fails.append(("form-parity", i, j))
-        dg = self.diag
-
-        def tbl(i, j):
-            return dg[i] if i == j else self.brk[i][j]
-
+        tbl = self.table()
         for h in range(n):
+            # rhs[i]: mask of the j with B(e_i, [e_h, e_j]) = 1
+            rhs = transpose([B.right(v) for v in tbl[h]], n)
             for i in range(n):
-                for j in range(n):
-                    lhs = B.pairing(tbl(i, h), 1 << j)
-                    rhs = B.pairing(1 << i, tbl(h, j))
-                    if lhs != rhs:
-                        fails.append(("invariance", i, h, j))
-                        if len(fails) >= max_failures:
-                            return AxiomReport(False, fails)
+                for j in bit_indices(B.left(tbl[i][h]) ^ rhs[i]):
+                    fails.append(("invariance", i, h, j))
+                    if len(fails) >= max_failures:
+                        return AxiomReport(False, fails)
         if not self.graded_only:
             for i in self.odd_indices():
-                for j in range(n):
-                    if B.pairing(self.sq[i], 1 << j) != B.pairing(1 << i, self.brk[i][j]):
-                        fails.append(("square-invariance", i, j))
-                        if len(fails) >= max_failures:
-                            return AxiomReport(False, fails)
+                gi = gram[i]
+                rhs = 0
+                for j, v in enumerate(self.brk[i]):
+                    rhs |= ((gi & v).bit_count() & 1) << j
+                for j in bit_indices(B.left(self.sq[i]) ^ rhs):
+                    fails.append(("square-invariance", i, j))
+                    if len(fails) >= max_failures:
+                        return AxiomReport(False, fails)
         return AxiomReport(not fails, fails)
 
 
@@ -523,12 +561,8 @@ def center(g: StructureConstants) -> Subspace:
     """{x : [x, g] = 0}, computed as a nullspace."""
     span = SpanBasis()
     for j in range(g.n):
-        for t in range(g.n):
-            row = 0
-            for i in range(g.n):
-                if (g.brk[i][j] >> t) & 1:
-                    row |= 1 << i
-            span.add(row)
+        # row t: the i with e_t in [e_i, e_j]
+        span.extend(transpose([row[j] for row in g.brk], g.n))
     return Subspace(g, span.kernel(g.n))
 
 
@@ -634,13 +668,7 @@ def inner_span(g: StructureConstants) -> SpanBasis:
 
 def compose_cols(cols_a: list[int], cols_b: list[int]) -> list[int]:
     """Columns of A∘B given columns of A and B."""
-    out = []
-    for cb in cols_b:
-        v = 0
-        for i in bit_indices(cb):
-            v ^= cols_a[i]
-        out.append(v)
-    return out
+    return [xor_rows(cols_a, cb) for cb in cols_b]
 
 
 @dataclass

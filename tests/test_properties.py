@@ -1,12 +1,16 @@
 """Cross-checks between independent computation paths."""
 
+import functools
 import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from char2lie import cli
 from char2lie import deriv as dv
 from char2lie import doubleext as dx
 from char2lie import liesuper as ls
-from char2lie.gf2core import BitMatrix
+from char2lie.gf2core import BitMatrix, SpanBasis
 
 
 def test_solver_solutions_satisfy_derivation_identities(built):
@@ -116,3 +120,197 @@ def test_identify_witness_is_bijective_and_checks(built):
             assert w.apply(ext.alg.brk[i][j]) == po.bracket_vec(cols[i], cols[j])
     for i in ext.alg.odd_indices():
         assert w.apply(ext.alg.sq[i]) == po.sq_vec(cols[i])
+
+
+# -- differential check of the bit-parallel verification kernels ------------
+# The reference loops below evaluate every identity one basis triple at a
+# time with a scalar pairing, as the library did before its row and
+# whole-table kernels; they are kept here only as the oracle.
+
+
+def _ref_bits(x):
+    while x:
+        yield (x & -x).bit_length() - 1
+        x &= x - 1
+
+
+def _ref_pairing(gram, x, y):
+    v = 0
+    for i in _ref_bits(x):
+        v ^= (gram[i] & y).bit_count() & 1
+    return v
+
+
+def _ref_table(g):
+    diag = g.diag
+    return [[diag[i] if i == j else g.brk[i][j] for j in range(g.n)] for i in range(g.n)]
+
+
+def _ref_apply(rows, x):
+    out = 0
+    for m in _ref_bits(x):
+        out ^= rows[m]
+    return out
+
+
+def _ref_verify_axioms(g, max_failures):
+    n = g.n
+    fails = []
+    if g.is_leibniz:
+        for i in range(n):
+            for j in range(i + 1, n):
+                if g.brk[i][j] != g.brk[j][i]:
+                    fails.append(("symmetry", i, j))
+        tbl = _ref_table(g)
+        col = [[tbl[m][z] for m in range(n)] for z in range(n)]
+        for x in range(n):
+            for y in range(n):
+                for z in range(n):
+                    lhs = _ref_apply(tbl[x], tbl[y][z])
+                    rhs = _ref_apply(col[z], tbl[x][y]) ^ _ref_apply(tbl[y], tbl[x][z])
+                    if lhs != rhs:
+                        fails.append(("leibniz", x, y, z))
+                        if len(fails) >= max_failures:
+                            return False, fails
+        return not fails, fails
+    pmask = [g.parity_mask(0), g.parity_mask(1)]
+    for i in range(n):
+        if g.brk[i][i]:
+            fails.append(("diagonal", i))
+        for j in range(i, n):
+            if g.brk[i][j] != g.brk[j][i]:
+                fails.append(("symmetry", i, j))
+            if g.brk[i][j] & pmask[g.parity(i) ^ g.parity(j) ^ 1]:
+                fails.append(("bracket-parity", i, j))
+        if not g.graded_only and g.parity(i) == 1 and g.sq[i] & pmask[1]:
+            fails.append(("squaring-parity", i))
+        if len(fails) >= max_failures:
+            return False, fails
+    col = [[g.brk[m][k] for m in range(n)] for k in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                acc = _ref_apply(col[k], g.brk[i][j]) ^ _ref_apply(col[i], g.brk[j][k]) ^ _ref_apply(col[j], g.brk[k][i])
+                if acc:
+                    fails.append(("jacobi", i, j, k))
+                    if len(fails) >= max_failures:
+                        return False, fails
+    if not g.graded_only:
+        for i in g.odd_indices():
+            for j in range(n):
+                if _ref_apply(col[j], g.sq[i]) != _ref_apply(g.brk[i], g.brk[i][j]):
+                    fails.append(("squaring-jacobi", i, j))
+                    if len(fails) >= max_failures:
+                        return False, fails
+    return not fails, fails
+
+
+def _ref_verify_form(g, B, max_failures):
+    n = g.n
+    gram = B.gram
+    fails = []
+    for i in range(n):
+        if _ref_pairing(gram, 1 << i, 1 << i) and g.parity(i) == 1 and not g.graded_only:
+            fails.append(("form-odd-diagonal", i))
+        for j in range(i, n):
+            bij = _ref_pairing(gram, 1 << i, 1 << j)
+            if bij != _ref_pairing(gram, 1 << j, 1 << i):
+                fails.append(("form-symmetry", i, j))
+            if bij and (g.parity(i) ^ g.parity(j)) != B.parity:
+                fails.append(("form-parity", i, j))
+    tbl = _ref_table(g)
+    for h in range(n):
+        for i in range(n):
+            for j in range(n):
+                if _ref_pairing(gram, tbl[i][h], 1 << j) != _ref_pairing(gram, 1 << i, tbl[h][j]):
+                    fails.append(("invariance", i, h, j))
+                    if len(fails) >= max_failures:
+                        return False, fails
+    if not g.graded_only:
+        for i in g.odd_indices():
+            for j in range(n):
+                if _ref_pairing(gram, g.sq[i], 1 << j) != _ref_pairing(gram, 1 << i, g.brk[i][j]):
+                    fails.append(("square-invariance", i, j))
+                    if len(fails) >= max_failures:
+                        return False, fails
+    return not fails, fails
+
+
+def _ref_invariance_failures(D, B):
+    n = len(D.cols)
+    return [(i, j) for i in range(n) for j in range(i, n)
+            if _ref_pairing(B.gram, D.cols[i], 1 << j) != _ref_pairing(B.gram, 1 << i, D.cols[j])]
+
+
+def _ref_orthogonal_complement(B, vectors):
+    span = SpanBasis()
+    span.extend(sum(_ref_pairing(B.gram, 1 << i, v) << i for i in range(B.n)) for v in vectors)
+    return span.kernel(B.n)
+
+
+@functools.cache
+def _verification_bases():
+    """Lie, graded, Buttin and Leibniz objects, and double extensions: one
+    of them Leibniz with m = 1, so that its form fails square-invariance."""
+    out = []
+    for args in [("h", "Pi", 0, 4), ("h", "PiPi", 1, 3), ("le", "", 0, 0, 2)]:
+        fam = ls.family(*args[:4], n=args[4] if len(args) > 4 else 0)
+        out.append(ls.build_algebra(fam))
+    fam = ls.family("h", "I", 0, 4)
+    out.append(ls.poisson_algebra(fam.space()))
+    for args, m in ((("h", "Pi", 0, 4), 0), (("h", "Pi", 0, 5), 1)):
+        fam = ls.family(*args)
+        g, B = ls.build_algebra(fam)
+        D = dict(dv.closed_form_generators(fam, g))["Dtop"]
+        ext = dx.build(dx.case_of(g, B, D), g, B, dx.prepare(g, B, D, m=m))
+        out.append((ext.alg, ext.form))
+    return tuple(out)
+
+
+@st.composite
+def _perturbed_objects(draw):
+    """A base object with a few table flips: asymmetric bracket entries,
+    nonzero brk[i][i], asymmetric and diagonal Gram entries, squares and
+    the Leibniz diagonal; plus a map D and vectors for the pairwise checks."""
+    g0, B0 = draw(st.sampled_from(_verification_bases()))
+    n = g0.n
+    g = ls.StructureConstants(g0.basis, g0.brk, g0.sq, meta=g0.meta)
+    gram = list(B0.gram)
+    idx = st.integers(0, n - 1)
+    for kind, i, j, t in draw(st.lists(st.tuples(st.integers(0, 6), idx, idx, idx), min_size=1, max_size=4)):
+        if kind == 0:
+            g.brk[i][j] ^= 1 << t
+        elif kind == 1:
+            g.brk[i][i] ^= 1 << t
+        elif kind == 2:
+            # flips B(e_i, brk[i][i]), which square-invariance reads
+            g.brk[i][i] ^= gram[i]
+        elif kind == 3:
+            gram[i] ^= 1 << j
+        elif kind == 4:
+            gram[i] ^= 1 << i
+        elif kind == 5:
+            g.sq[i] ^= 1 << t
+        elif g.meta.get("diag"):
+            diag = list(g.meta["diag"])
+            diag[i] ^= 1 << t
+            g.meta["diag"] = tuple(diag)
+    B = ls.BilinearFormTable(tuple(gram), B0.parity)
+    cols = list(g.brk[draw(idx)])
+    for j, t in draw(st.lists(st.tuples(idx, idx), max_size=3)):
+        cols[j] ^= 1 << t
+    vectors = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=4))
+    return g, B, dv.LinearMap(tuple(cols), 0, (), 0), vectors
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(_perturbed_objects())
+def test_verification_kernels_match_reference_loops(obj):
+    g, B, D, vectors = obj
+    for max_failures in (1, 5, 10, 10**9):
+        ax = g.verify_axioms(max_failures)
+        assert (ax.ok, ax.failures) == _ref_verify_axioms(g, max_failures), max_failures
+        fm = g.verify_form(B, max_failures)
+        assert (fm.ok, fm.failures) == _ref_verify_form(g, B, max_failures), max_failures
+    assert list(dv.invariance_failures(D, B)) == _ref_invariance_failures(D, B)
+    assert B.orthogonal_complement(vectors) == _ref_orthogonal_complement(B, vectors)
