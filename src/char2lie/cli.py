@@ -131,6 +131,13 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
     meta: dict = {}
     n = 0
     mode = ""
+
+    def index(tok: str) -> int:
+        k = int(tok)
+        if not 0 <= k < n:
+            raise ValueError(f"index {tok} outside 0..{n - 1} in record {ln!r}")
+        return k
+
     for ln in lines[1:]:
         if not ln or ln.startswith("#"):
             continue
@@ -160,17 +167,17 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
         elif brk is None:
             raise ValueError(f"record {ln!r} before the basis record")
         elif parts[0] == "sq":
-            sq[int(parts[1])] |= 1 << int(parts[2])
+            sq[index(parts[1])] |= 1 << index(parts[2])
         elif parts[0] == "d":
-            diag[int(parts[1])] |= 1 << int(parts[2])
+            diag[index(parts[1])] |= 1 << index(parts[2])
         elif parts[0] == "B":
             if gram is None:
                 raise ValueError(f"form record {ln!r} before the nis section")
-            i, j = int(parts[1]), int(parts[2])
+            i, j = index(parts[1]), index(parts[2])
             gram[i] |= 1 << j
             gram[j] |= 1 << i
         else:
-            i, j, k = int(parts[0]), int(parts[1]), int(parts[2])
+            i, j, k = index(parts[0]), index(parts[1]), index(parts[2])
             brk[i][j] |= 1 << k
             brk[j][i] |= 1 << k  # symmetric closure
     if brk is None:

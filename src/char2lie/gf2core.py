@@ -2,7 +2,9 @@
 
 Vectors are plain Python ints used as bitmasks (bit i = coordinate i).
 `SpanBasis` keeps their reduced row echelon form and eliminates every
-small system; numpy `BitMatrix` (rows packed into uint64 words) serves
+small system; `span_dim` is the rank-only kernel (forward elimination,
+no reduced rows) for callers that read only a dimension, such as the
+ad-rank spectra; numpy `BitMatrix` (rows packed into uint64 words) serves
 only the dense naive derivation oracle, where a word-wide xor pays.
 Pivoting is deterministic (first nonzero column, lowest row), so echelon
 forms, nullspace bases and solutions are reproducible across runs.
@@ -19,6 +21,7 @@ __all__ = [
     "BitVector",
     "BitMatrix",
     "SpanBasis",
+    "span_dim",
     "rank",
     "nullspace_basis",
     "solve_affine",
@@ -333,6 +336,24 @@ class SpanBasis:
             for f in bit_indices((row ^ (1 << p)) & low):
                 dep[f] = dep.get(f, 0) | (1 << p)
         return [dep.get(f, 0) | (1 << f) for f in range(ncols) if not (self._pivmask >> f) & 1]
+
+
+def span_dim(vectors) -> int:
+    """Dimension of the span of int-bitmask vectors, by forward elimination
+    only: each kept row is keyed by its lowest set bit (as bit index + 1),
+    and a vector is xored with the row keyed by its own lowest bit until
+    it is zero or has a new lowest bit.  No back-reduction, pivot list or
+    combinations."""
+    rows: dict[int, int] = {}
+    for v in vectors:
+        while v:
+            low = (v & -v).bit_length()
+            row = rows.get(low)
+            if row is None:
+                rows[low] = v
+                break
+            v ^= row
+    return len(rows)
 
 
 def solve_affine(rows, ncols: int) -> tuple[int, list[int]] | None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .deriv import LinearMap
-from .gf2core import SpanBasis, bit_indices, flatten_cols, unflatten_cols
+from .gf2core import flatten_cols, span_dim, unflatten_cols
 from .liesuper import EVEN, StructureConstants, center, derived_series_dims
 
 
@@ -31,61 +31,56 @@ def super_rank(g: StructureConstants, op) -> SuperRank:
         cols = list(op.cols)
     else:
         cols = g.ad_cols(op)
-    ev = SpanBasis()
-    od = SpanBasis()
-    for j, c in enumerate(cols):
-        if not c:
-            continue
-        (ev if g.parity(j) == EVEN else od).add(c)
-    return SuperRank(ev.dim, od.dim)
-
-
-def _col_rank(cols) -> int:
-    s = SpanBasis()
-    s.extend(cols)
-    return s.dim
+    return SuperRank(
+        span_dim(c for j, c in enumerate(cols) if g.parity(j) == EVEN),
+        span_dim(c for j, c in enumerate(cols) if g.parity(j) != EVEN),
+    )
 
 
 def ad_rank(g: StructureConstants, x: int) -> int:
-    return _col_rank(g.ad_cols(x))
+    return span_dim(g.ad_cols(x))
 
 
-def _basis_ad_cols(g: StructureConstants) -> list[list[int]]:
-    """ad(e_i) as columns, for every i: by bilinearity the columns of
-    ad(x) are the xor of these over the support of x."""
-    return [g.ad_cols(1 << i) for i in range(g.n)]
+def _basis_ads(g: StructureConstants) -> list[dict[int, int]]:
+    """ad(e_i) as its nonzero columns {k: [e_i, e_k]}, for every i: by
+    bilinearity the columns of ad(x) are the xor of these over the
+    support of x."""
+    return [{k: c for k, c in enumerate(g.ad_cols(1 << i)) if c} for i in range(g.n)]
 
 
 def ad_rank_spectrum(g: StructureConstants) -> tuple[int, ...]:
     """Sorted multiset of ad-ranks over the basis."""
-    return tuple(sorted(_col_rank(cols) for cols in _basis_ad_cols(g)))
+    return tuple(sorted(span_dim(ad.values()) for ad in _basis_ads(g)))
 
 
 def pair_rank_spectrum(g: StructureConstants) -> tuple[int, ...]:
     """Sorted multiset of ad-ranks over sums of two distinct basis
-    elements, the deterministic non-basis sample."""
-    ads = _basis_ad_cols(g)
+    elements, the deterministic non-basis sample.  Only the columns in
+    the union of the two supports are xored."""
+    ads = _basis_ads(g)
     out = []
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            out.append(_col_rank(a ^ b for a, b in zip(ads[i], ads[j])))
+    for i, a in enumerate(ads):
+        for b in ads[i + 1 :]:
+            cols = dict(a)
+            for k, c in b.items():
+                cols[k] = cols.get(k, 0) ^ c
+            out.append(span_dim(cols.values()))
     return tuple(sorted(out))
 
 
-def has_odd_ad_rank(g: StructureConstants, exhaustive_limit: int = 16) -> bool:
-    """Whether any element has odd ad-rank; exhaustive when dim allows,
-    otherwise over the basis-and-pairs sample."""
-    if g.n <= exhaustive_limit:
-        ads = [flatten_cols(cols, g.n) for cols in _basis_ad_cols(g)]
-        for x in range(1, 1 << g.n):
-            acc = 0
-            for i in bit_indices(x):
-                acc ^= ads[i]
-            if _col_rank(unflatten_cols(acc, g.n)) & 1:
-                return True
-        return False
-    for r in ad_rank_spectrum(g) + pair_rank_spectrum(g):
-        if r & 1:
+def has_odd_ad_rank(g: StructureConstants) -> bool:
+    """Whether any element has odd ad-rank, by an exhaustive Gray-code
+    walk over all 2^n elements (one xor of flattened ad columns each);
+    raises ValueError above n = 16 rather than answer from a sample."""
+    if g.n > 16:
+        raise ValueError(f"has_odd_ad_rank searches all 2^n elements; n = {g.n} exceeds 16")
+    ads = [flatten_cols(g.ad_cols(1 << i), g.n) for i in range(g.n)]
+    acc = 0
+    for step in range(1, 1 << g.n):
+        # element step ^ (step >> 1) differs from the previous one in the
+        # lowest set bit of step
+        acc ^= ads[(step & -step).bit_length() - 1]
+        if span_dim(unflatten_cols(acc, g.n)) & 1:
             return True
     return False
 

@@ -61,7 +61,13 @@ def _bracket_above_basis(text):
     return text.replace("basis ", "0 1 2\nbasis ", 1)
 
 
-@pytest.mark.parametrize("corrupt", [_drop_form_lines, _bad_square, _non_integer_bracket, _bracket_above_basis])
+def _huge_index_bracket(text):
+    return text.replace("brackets\n", "brackets\n0 1 100000000000000000000\n", 1)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_form_lines, _bad_square, _non_integer_bracket, _bracket_above_basis, _huge_index_bracket]
+)
 def test_corrupt_sca_rejected(tmp_path, capsys, corrupt):
     args = ["--family", "h", "--form", "Pi", "--even", "0", "--odd", "4", "--out", str(tmp_path)]
     assert run_cli("build", *args) == 0

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from char2lie import deriv as dv
 from char2lie import doubleext as dx
 from char2lie import invariants as inv
@@ -39,6 +41,13 @@ def test_ad_rank_spectra_b_tilde_vs_b(built):
     assert not inv.has_odd_ad_rank(bb.alg)  # no element of b(2|2) has odd rank
     ev = inv.distinguish(bt.alg, bb.alg)
     assert ev != "inconclusive"
+
+
+def test_has_odd_ad_rank_refuses_beyond_exhaustive(built):
+    fam, g, B = built("h", "Pi", 0, 5)
+    assert g.n == 30
+    with pytest.raises(ValueError, match="2\\^n"):
+        inv.has_odd_ad_rank(g)
 
 
 def test_abelian_spectrum_zero():

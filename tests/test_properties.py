@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from char2lie import cli
 from char2lie import deriv as dv
 from char2lie import doubleext as dx
+from char2lie import invariants as inv
 from char2lie import liesuper as ls
-from char2lie.gf2core import BitMatrix, SpanBasis
+from char2lie.gf2core import BitMatrix, SpanBasis, span_dim
 
 
 def test_solver_solutions_satisfy_derivation_identities(built):
@@ -314,3 +315,73 @@ def test_verification_kernels_match_reference_loops(obj):
         assert (fm.ok, fm.failures) == _ref_verify_form(g, B, max_failures), max_failures
     assert list(dv.invariance_failures(D, B)) == _ref_invariance_failures(D, B)
     assert B.orthogonal_complement(vectors) == _ref_orthogonal_complement(B, vectors)
+
+
+@st.composite
+def _vector_lists(draw):
+    """0-40 vectors of one width in 1-130 (63, 64 and 65 drawn often),
+    each dense or with at most three bits."""
+    width = draw(st.sampled_from([63, 64, 65]) | st.integers(1, 130))
+    sparse = st.sets(st.integers(0, width - 1), max_size=3).map(lambda s: sum(1 << i for i in s))
+    return draw(st.lists(st.integers(0, (1 << width) - 1) | sparse, max_size=40))
+
+
+@settings(derandomize=True, database=None)
+@given(_vector_lists())
+def test_span_dim_matches_span_basis(vectors):
+    span = SpanBasis()
+    span.extend(vectors)
+    assert span_dim(vectors) == span.dim
+
+
+# SpanBasis reference loops for the rank invariants: ad(x) column by column
+# from the table, a full SpanBasis per rank, every element in ascending order.
+
+
+def _ref_rank(cols):
+    span = SpanBasis()
+    span.extend(cols)
+    return span.dim
+
+
+def _ref_ad_cols(g, x):
+    tbl = _ref_table(g)
+    return [_ref_apply([row[k] for row in tbl], x) for k in range(g.n)]
+
+
+def _ref_super_rank(g, cols):
+    even, odd = SpanBasis(), SpanBasis()
+    for j, c in enumerate(cols):
+        (odd if g.parity(j) else even).add(c)
+    return inv.SuperRank(even.dim, odd.dim)
+
+
+def _ref_has_odd_ad_rank(g):
+    basis = [_ref_ad_cols(g, 1 << i) for i in range(g.n)]
+    cols = [[0] * g.n]
+    for x in range(1, 1 << g.n):
+        # ad(x) = ad(x without its lowest bit) + ad(e_lowest)
+        cols.append([a ^ b for a, b in zip(cols[x & (x - 1)], basis[(x & -x).bit_length() - 1])])
+        if _ref_rank(cols[x]) & 1:
+            return True
+    return False
+
+
+def test_rank_invariants_match_span_basis_loops():
+    bases = _verification_bases()[:5]
+    for g, B in bases:
+        n = g.n
+        assert inv.ad_rank_spectrum(g) == tuple(sorted(_ref_rank(_ref_ad_cols(g, 1 << i)) for i in range(n)))
+        pairs = [(1 << i) | (1 << j) for i in range(n) for j in range(i + 1, n)]
+        assert inv.pair_rank_spectrum(g) == tuple(sorted(_ref_rank(_ref_ad_cols(g, x)) for x in pairs))
+        rng = random.Random(n)
+        for x in [1 << i for i in range(n)] + pairs[::7] + [rng.getrandbits(n) for _ in range(20)]:
+            cols = _ref_ad_cols(g, x)
+            assert inv.ad_rank(g, x) == _ref_rank(cols), x
+            assert inv.super_rank(g, x) == _ref_super_rank(g, cols), x
+        cols = [rng.getrandbits(n) & g.brk[rng.randrange(n)][j] for j in range(n)]
+        assert inv.super_rank(g, dv.LinearMap(tuple(cols), 0, (), 0)) == _ref_super_rank(g, cols)
+    # the exhaustive reference costs 2^n ranks: the Dtop extension (n = 16,
+    # no odd rank, so its search never stops early) is left out
+    for g, B in bases[:4]:
+        assert inv.has_odd_ad_rank(g) == _ref_has_odd_ad_rank(g), g.n
