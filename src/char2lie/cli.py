@@ -150,6 +150,8 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             continue
         elif parts[0] == "basis":
             n = int(parts[1])
+            if not 0 <= n <= len(lines):
+                raise ValueError(f"basis count {n} outside 0..{len(lines)}, the most b records the file can hold")
             brk = [[0] * n for _ in range(n)]
             sq = [0] * n
             diag = [0] * n
@@ -174,10 +176,14 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             if gram is None:
                 raise ValueError(f"form record {ln!r} before the nis section")
             i, j = index(parts[1]), index(parts[2])
+            if j < i:
+                raise ValueError(f"form record {ln!r} below the diagonal")
             gram[i] |= 1 << j
             gram[j] |= 1 << i
         else:
             i, j, k = index(parts[0]), index(parts[1]), index(parts[2])
+            if j < i:
+                raise ValueError(f"bracket record {ln!r} below the diagonal")
             brk[i][j] |= 1 << k
             brk[j][i] |= 1 << k  # symmetric closure
     if brk is None:

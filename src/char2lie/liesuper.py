@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, permutations
 
 from . import superfunc as sf
 from .gf2core import BitMatrix, SpanBasis, bit_indices, flatten_cols, transpose, xor_rows
@@ -184,13 +185,16 @@ class StructureConstants:
 
     def verify_axioms(self, max_failures: int = 10) -> AxiomReport:
         """Anticommutativity, parity additivity, Jacobi over all basis
-        triples, and (unless graded-only) the squaring identity
+        triples i < j < k, and (unless graded-only) the squaring identity
         [s(f), g] = [f, [f, g]].
 
         Objects with a nonzero Leibniz diagonal (the po_I phenomenon:
         {w,w} = 1 for diagonal indeterminates) are instead checked against
         the left Leibniz identity; anticommutativity fails for them by
         construction and is not an axiom there.
+
+        Jacobi sums come from the nonzero products of the sparse table
+        (`_products`); failures come in the order of a loop over i < j < k.
         """
         if self.is_leibniz:
             return self._verify_leibniz(max_failures)
@@ -201,12 +205,14 @@ class StructureConstants:
         def bad_parity(target_mask: int, want: int) -> bool:
             return bool(target_mask & pmask[want ^ 1])
 
+        symmetric = True
         for i in range(n):
             if self.brk[i][i]:
                 fails.append(("diagonal", i))
             for j in range(i, n):
                 if self.brk[i][j] != self.brk[j][i]:
                     fails.append(("symmetry", i, j))
+                    symmetric = False
                 if bad_parity(self.brk[i][j], self.parity(i) ^ self.parity(j)):
                     fails.append(("bracket-parity", i, j))
             if not self.graded_only and self.parity(i) == ODD and bad_parity(self.sq[i], EVEN):
@@ -214,21 +220,16 @@ class StructureConstants:
             if len(fails) >= max_failures:
                 return AxiomReport(False, fails)
 
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = self.brk[i][j]
-                for k in range(j + 1, n):
-                    acc = 0
-                    for m in bit_indices(bij):
-                        acc ^= self.brk[m][k]
-                    for m in bit_indices(self.brk[j][k]):
-                        acc ^= self.brk[m][i]
-                    for m in bit_indices(self.brk[k][i]):
-                        acc ^= self.brk[m][j]
-                    if acc:
-                        fails.append(("jacobi", i, j, k))
-                        if len(fails) >= max_failures:
-                            return AxiomReport(False, fails)
+        # [[i,j],k] + [[j,k],i] + [[k,i],j]: pairs a < b if symmetric, else cyclic rotations
+        if symmetric:
+            terms = ((*sorted((a, b, c)), w) for a, b, c, w in _products(self.brk, True) if a != b != c != a)
+        else:
+            cyclic = ((a, b, c, w) for a, b, c, w in _products(self.brk) if a < b < c or b < c < a or c < a < b)
+            terms = ((*sorted((a, b, c)), w) for a, b, c, w in cyclic)
+        triples = list(_failing(terms, n))
+        fails += [("jacobi",) + t for t in triples[: max_failures - len(fails)]]
+        if len(fails) >= max_failures:
+            return AxiomReport(False, fails)
 
         if not self.graded_only:
             for i, j in self._squaring_failures():
@@ -242,51 +243,22 @@ class StructureConstants:
         """Left Leibniz identity [x,[y,z]] = [[x,y],z] + [y,[x,z]] over
         all basis triples (diagonal included), plus table symmetry.
 
-        For each x the three terms over all (y, z) are one int each, the
-        value for (y, z) in the w-bit slot at bit (y*n + z)*w, w = n rounded
-        up to whole bytes so that tables are built from bytes in linear
-        time.  Q[m] has bit 0 of slot (y, z) set when m is in [y, z], so
-        the XOR of Q[m] << t over the bits t of [x, e_m] is [x,[y,z]] slot
-        by slot."""
-        fails: list[tuple] = []
+        In characteristic 2 with a symmetric table the difference at
+        (x, y, z) is the Jacobi sum of the multiset {x, y, z}: it is summed
+        once per multiset and reported at each ordering.  A table that is
+        not symmetric (already failing) is summed per ordered triple.
+        Failures come in the order of a loop over x, y, z."""
         n = self.n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.brk[i][j] != self.brk[j][i]:
-                    fails.append(("symmetry", i, j))
+        fails = [("symmetry", i, j) for i in range(n) for j in range(i + 1, n) if self.brk[i][j] != self.brk[j][i]]
         tbl = self.table()
-        k = (n + 7) // 8  # bytes per slot
-        w = 8 * k
-        blk = n * k  # bytes per y-block of n slots
-        q = [bytearray(n * blk) for _ in range(n)]
-        for y, row in enumerate(tbl):
-            for z, v in enumerate(row):
-                for m in bit_indices(v):
-                    q[m][y * blk + z * k] = 1
-        Q = [int.from_bytes(b, "little") for b in q]
-        del q
-        # R[m]: [m, z] in slot z of one y-block; C[m]: [y, m] in slot (y, 0)
-        R = [int.from_bytes(b"".join(v.to_bytes(k, "little") for v in row), "little") for row in tbl]
-        pad = bytes(blk - k)
-        C = [int.from_bytes(b"".join(row[m].to_bytes(k, "little") + pad for row in tbl), "little") for m in range(n)]
-        for x, tx in enumerate(tbl):
-            lhs = 0
-            for m, v in enumerate(tx):
-                for t in bit_indices(v):
-                    lhs ^= Q[m] << t
-            # [[x,y],z]: block y is the XOR of R[m] over m in [x, y]
-            rhs = int.from_bytes(b"".join(xor_rows(R, v).to_bytes(blk, "little") for v in tx), "little")
-            # [y,[x,z]]: C[m] over m in [x, z], moved to slot z
-            for z, v in enumerate(tx):
-                if v:
-                    rhs ^= xor_rows(C, v) << (z * w)
-            diff = lhs ^ rhs
-            while diff:
-                slot = ((diff & -diff).bit_length() - 1) // w
-                fails.append(("leibniz", x) + divmod(slot, n))
-                if len(fails) >= max_failures:
-                    return AxiomReport(False, fails)
-                diff &= -1 << ((slot + 1) * w)
+        if fails:
+            cols = ((*t, w) for a, b, c, w in _products(tbl, columns=True) for t in ((c, a, b), (a, c, b)))
+            triples = list(_failing(chain(_products(tbl), cols), n))
+        else:
+            # a repeated index in a distinct pair {a, b} splits twice and cancels
+            terms = ((*sorted((a, b, c)), w) for a, b, c, w in _products(tbl, True) if a == b or a != c != b)
+            triples = sorted({p for t in _failing(terms, n) for p in permutations(t)})
+        fails += [("leibniz",) + t for t in triples[: max(max_failures - len(fails), 1)]]
         return AxiomReport(not fails, fails)
 
     def _squaring_failures(self):
@@ -356,6 +328,31 @@ class StructureConstants:
                     if len(fails) >= max_failures:
                         return AxiomReport(False, fails)
         return AxiomReport(not fails, fails)
+
+
+def _products(tbl, upper=False, columns=False):
+    """The composition kernel of the Jacobi and Leibniz checks: each
+    nonzero product term (a, b, c, [e_m,e_c]), m in [e_a,e_b], of
+    [[e_a,e_b],e_c] over the pairs (a, b), a <= b when `upper`; with
+    `columns` the terms [e_c,e_m] of [e_c,[e_a,e_b]] instead."""
+    rows = [{c: w for c, w in enumerate(row) if w} for row in (zip(*tbl) if columns else tbl)]
+    for a, row in enumerate(tbl):
+        for b in range(a if upper else 0, len(row)):
+            for m in bit_indices(row[b]):
+                for c, w in rows[m].items():
+                    yield a, b, c, w
+
+
+def _failing(terms, n: int):
+    """The triples (i, j, k) whose terms (i, j, k, w) do not XOR to zero,
+    ascending; each triple is summed under the int code (i*n + j)*n + k."""
+    sums: dict[int, int] = {}
+    for i, j, k, w in terms:
+        code = (i * n + j) * n + k
+        sums[code] = sums.get(code, 0) ^ w
+    for code in sorted(code for code, w in sums.items() if w):
+        i, jk = divmod(code, n * n)
+        yield (i,) + divmod(jk, n)
 
 
 # ---------------------------------------------------------------------------

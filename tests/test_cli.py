@@ -65,8 +65,30 @@ def _huge_index_bracket(text):
     return text.replace("brackets\n", "brackets\n0 1 100000000000000000000\n", 1)
 
 
+def _huge_basis_count(text):
+    return text.replace("basis 14\n", "basis 100000000000000000000\n", 1)
+
+
+def _swapped_bracket(text):
+    return text.replace("brackets\n0 2 0\n", "brackets\n2 0 0\n", 1)
+
+
+def _swapped_form(text):
+    return text.replace("B 0 13\n", "B 13 0\n", 1)
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_drop_form_lines, _bad_square, _non_integer_bracket, _bracket_above_basis, _huge_index_bracket]
+    "corrupt",
+    [
+        _drop_form_lines,
+        _bad_square,
+        _non_integer_bracket,
+        _bracket_above_basis,
+        _huge_index_bracket,
+        _huge_basis_count,
+        _swapped_bracket,
+        _swapped_form,
+    ],
 )
 def test_corrupt_sca_rejected(tmp_path, capsys, corrupt):
     args = ["--family", "h", "--form", "Pi", "--even", "0", "--odd", "4", "--out", str(tmp_path)]

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from char2lie import liesuper as ls
@@ -217,3 +221,20 @@ def test_nis_invariance_includes_squares(built):
     for args in [("h", "Pi", 0, 4), ("h", "I", 0, 4), ("le", "", 0, 0, 2), ("h", "Pi", 0, 5)]:
         fam, g, B = built(*args)
         assert g.verify_form(B).ok, fam.name
+
+
+def test_size8_leibniz_check_scale():
+    # po hI(0|8): n = 256, a Leibniz object, one size past the report's
+    # range; its axiom check must run in a fresh interpreter within 250 MB.
+    code = (
+        "import resource\n"
+        "from char2lie import liesuper as ls\n"
+        "g, _ = ls.poisson_algebra(ls.family('h', 'I', 0, 8).space())\n"
+        "assert g.n == 256 and g.is_leibniz\n"
+        "assert g.verify_axioms().ok\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ls.__file__))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 250 * 1024  # ru_maxrss is in KiB on Linux

@@ -317,6 +317,20 @@ def test_verification_kernels_match_reference_loops(obj):
     assert B.orthogonal_complement(vectors) == _ref_orthogonal_complement(B, vectors)
 
 
+def test_symmetric_leibniz_failures_match_reference_loops():
+    # Flips of the Leibniz diagonal keep the table symmetric, so the check
+    # takes its once-per-multiset route; each failing multiset must come
+    # out at all of its orderings, {a, a, a} included.
+    g0, _ = _verification_bases()[3]
+    for i, t in [(0, 0), (1, 1), (2, 3), (4, 4), (5, 5), (7, 0), (15, 15), (15, 0)]:
+        diag = list(g0.diag)
+        diag[i] ^= 1 << t
+        g = ls.StructureConstants(g0.basis, g0.brk, g0.sq, meta={**g0.meta, "diag": tuple(diag)})
+        for max_failures in (1, 7, 10**9):
+            ax = g.verify_axioms(max_failures)
+            assert (ax.ok, ax.failures) == _ref_verify_axioms(g, max_failures), (i, t, max_failures)
+
+
 @st.composite
 def _vector_lists(draw):
     """0-40 vectors of one width in 1-130 (63, 64 and 65 drawn often),
