@@ -14,7 +14,7 @@ from functools import cached_property
 from itertools import chain, permutations
 
 from . import superfunc as sf
-from .gf2core import BitMatrix, SpanBasis, bit_indices, flatten_cols, transpose, xor_rows
+from .gf2core import SpanBasis, bit_indices, flatten_cols, transpose, xor_rows
 
 EVEN, ODD = 0, 1
 
@@ -189,15 +189,17 @@ class StructureConstants:
         [s(f), g] = [f, [f, g]].
 
         Objects with a nonzero Leibniz diagonal (the po_I phenomenon:
-        {w,w} = 1 for diagonal indeterminates) are instead checked against
-        the left Leibniz identity; anticommutativity fails for them by
-        construction and is not an axiom there.
+        {w,w} = 1 for diagonal indeterminates) are checked against the left
+        Leibniz identity instead of Jacobi, on the table with the diagonal
+        from `diag`; anticommutativity fails for them by construction and
+        is not an axiom there.  Symmetry, the parities and the squaring
+        identity are checked on both routes.
 
         Jacobi sums come from the nonzero products of the sparse table
         (`_products`); failures come in the order of a loop over i < j < k.
         """
-        if self.is_leibniz:
-            return self._verify_leibniz(max_failures)
+        leibniz = self.is_leibniz
+        tbl = self.table() if leibniz else self.brk
         fails: list[tuple] = []
         n = self.n
         pmask = [self.parity_mask(EVEN), self.parity_mask(ODD)]
@@ -207,27 +209,24 @@ class StructureConstants:
 
         symmetric = True
         for i in range(n):
-            if self.brk[i][i]:
+            if not leibniz and self.brk[i][i]:
                 fails.append(("diagonal", i))
             for j in range(i, n):
-                if self.brk[i][j] != self.brk[j][i]:
+                if tbl[i][j] != tbl[j][i]:
                     fails.append(("symmetry", i, j))
                     symmetric = False
-                if bad_parity(self.brk[i][j], self.parity(i) ^ self.parity(j)):
+                if bad_parity(tbl[i][j], self.parity(i) ^ self.parity(j)):
                     fails.append(("bracket-parity", i, j))
             if not self.graded_only and self.parity(i) == ODD and bad_parity(self.sq[i], EVEN):
                 fails.append(("squaring-parity", i))
             if len(fails) >= max_failures:
                 return AxiomReport(False, fails)
 
-        # [[i,j],k] + [[j,k],i] + [[k,i],j]: pairs a < b if symmetric, else cyclic rotations
-        if symmetric:
-            terms = ((*sorted((a, b, c)), w) for a, b, c, w in _products(self.brk, True) if a != b != c != a)
+        if leibniz:
+            tag, triples = "leibniz", _leibniz_triples(tbl, symmetric)
         else:
-            cyclic = ((a, b, c, w) for a, b, c, w in _products(self.brk) if a < b < c or b < c < a or c < a < b)
-            terms = ((*sorted((a, b, c)), w) for a, b, c, w in cyclic)
-        triples = list(_failing(terms, n))
-        fails += [("jacobi",) + t for t in triples[: max_failures - len(fails)]]
+            tag, triples = "jacobi", _jacobi_triples(tbl, symmetric)
+        fails += [(tag,) + t for t in triples[: max_failures - len(fails)]]
         if len(fails) >= max_failures:
             return AxiomReport(False, fails)
 
@@ -237,28 +236,6 @@ class StructureConstants:
                 if len(fails) >= max_failures:
                     return AxiomReport(False, fails)
 
-        return AxiomReport(not fails, fails)
-
-    def _verify_leibniz(self, max_failures: int = 10) -> AxiomReport:
-        """Left Leibniz identity [x,[y,z]] = [[x,y],z] + [y,[x,z]] over
-        all basis triples (diagonal included), plus table symmetry.
-
-        In characteristic 2 with a symmetric table the difference at
-        (x, y, z) is the Jacobi sum of the multiset {x, y, z}: it is summed
-        once per multiset and reported at each ordering.  A table that is
-        not symmetric (already failing) is summed per ordered triple.
-        Failures come in the order of a loop over x, y, z."""
-        n = self.n
-        fails = [("symmetry", i, j) for i in range(n) for j in range(i + 1, n) if self.brk[i][j] != self.brk[j][i]]
-        tbl = self.table()
-        if fails:
-            cols = ((*t, w) for a, b, c, w in _products(tbl, columns=True) for t in ((c, a, b), (a, c, b)))
-            triples = list(_failing(chain(_products(tbl), cols), n))
-        else:
-            # a repeated index in a distinct pair {a, b} splits twice and cancels
-            terms = ((*sorted((a, b, c)), w) for a, b, c, w in _products(tbl, True) if a == b or a != c != b)
-            triples = sorted({p for t in _failing(terms, n) for p in permutations(t)})
-        fails += [("leibniz",) + t for t in triples[: max(max_failures - len(fails), 1)]]
         return AxiomReport(not fails, fails)
 
     def _squaring_failures(self):
@@ -343,6 +320,35 @@ def _products(tbl, upper=False, columns=False):
                     yield a, b, c, w
 
 
+def _jacobi_triples(tbl, symmetric: bool) -> list[tuple[int, int, int]]:
+    """The basis triples i < j < k, ascending, where the Jacobi sum
+    [[i,j],k] + [[j,k],i] + [[k,i],j] is nonzero: from the pairs a <= b of
+    a symmetric table, else from each cyclic rotation."""
+    if symmetric:
+        terms = ((*sorted((a, b, c)), w) for a, b, c, w in _products(tbl, True) if a != b != c != a)
+    else:
+        cyclic = ((a, b, c, w) for a, b, c, w in _products(tbl) if a < b < c or b < c < a or c < a < b)
+        terms = ((*sorted((a, b, c)), w) for a, b, c, w in cyclic)
+    return list(_failing(terms, len(tbl)))
+
+
+def _leibniz_triples(tbl, symmetric: bool) -> list[tuple[int, int, int]]:
+    """The basis triples (x, y, z), ascending, where the left Leibniz
+    identity [x,[y,z]] = [[x,y],z] + [y,[x,z]] fails (diagonal included).
+
+    In characteristic 2 with a symmetric table the difference at (x, y, z)
+    is the Jacobi sum of the multiset {x, y, z}: it is summed once per
+    multiset and reported at each ordering.  A table that is not symmetric
+    is summed per ordered triple."""
+    n = len(tbl)
+    if not symmetric:
+        cols = ((*t, w) for a, b, c, w in _products(tbl, columns=True) for t in ((c, a, b), (a, c, b)))
+        return list(_failing(chain(_products(tbl), cols), n))
+    # a repeated index in a distinct pair {a, b} splits twice and cancels
+    terms = ((*sorted((a, b, c)), w) for a, b, c, w in _products(tbl, True) if a == b or a != c != b)
+    return sorted({p for t in _failing(terms, n) for p in permutations(t)})
+
+
 def _failing(terms, n: int):
     """The triples (i, j, k) whose terms (i, j, k, w) do not XOR to zero,
     ascending; each triple is summed under the int code (i*n + j)*n + k."""
@@ -371,22 +377,32 @@ def _monomial_basis_element(space: sf.Space, mask: int) -> BasisElement:
 
 def _table_from_masks(space: sf.Space, masks: list[int], drop: set[int]) -> StructureConstants:
     """Structure constants on the given monomials, dropping bracket
-    components on monomials in `drop` (quotient by their span)."""
+    components on monomials in `drop` (quotient by their span).
+
+    Brackets use the terms of `superfunc.bracket_terms`: row i keeps its
+    side (a^x, y) of each term with a ⊇ x, so [e_i, e_j] costs a few int
+    operations per term."""
+    space.check_poly(masks)
     index = {m: i for i, m in enumerate(masks)}
     n = len(masks)
+    # code[m]: the basis bit of monomial m, 0 if dropped; a monomial outside
+    # the basis gets its own bit above n, so that only an uncancelled one escapes
+    code = [0 if m in drop else 1 << index[m] if m in index else 1 << (n + m)
+            for m in range(1 << space.nvars)]
+    terms = sf.bracket_terms(space)
     brk = [[0] * n for _ in range(n)]
-    for i in range(n):
-        fi = sf.poly(masks[i])
+    for i, a in enumerate(masks):
+        left = [(a ^ x, y) for x, y in terms if a & x]
+        row = brk[i]
         for j in range(i + 1, n):
-            res = sf.bracket(space, fi, sf.poly(masks[j]))
+            b = masks[j]
             vec = 0
-            for m in res:
-                if m in drop:
-                    continue
-                if m not in index:
-                    raise ValueError("bracket escapes the chosen basis")
-                vec |= 1 << index[m]
-            brk[i][j] = vec
+            for ax, y in left:
+                if b & y and not ax & (b ^ y):
+                    vec ^= code[ax | (b ^ y)]
+            if vec >> n:
+                raise ValueError("bracket escapes the chosen basis")
+            row[j] = vec
             brk[j][i] = vec
     sq = [0] * n
     for i in range(n):
@@ -642,15 +658,6 @@ def quotient(g: StructureConstants, ideal: Subspace) -> StructureConstants:
     if g.graded_only:
         meta["graded"] = True
     return StructureConstants(basis, brk, sq, meta=meta)
-
-
-def ad(g: StructureConstants, x: int) -> BitMatrix:
-    """Matrix of [x, .] in the basis (columns indexed by basis)."""
-    m = BitMatrix(g.n, g.n)
-    for j, col in enumerate(g.ad_cols(x)):
-        for t in bit_indices(col):
-            m.set(t, j, 1)
-    return m
 
 
 def inner_span(g: StructureConstants) -> SpanBasis:

@@ -136,17 +136,32 @@ def partial(space: Space, f: Poly, var: int) -> Poly:
     return frozenset(m ^ bit for m in f if m & bit)
 
 
+@lru_cache(maxsize=None)
+def bracket_terms(space: Space) -> tuple[tuple[int, int], ...]:
+    """The bracket of the space's kind as single-bit mask pairs (x, y), one
+    per term d_x f * d_y g: (u, v) and (v, u) for each pair, (w, w) for
+    each diagonal."""
+    terms = []
+    for u, v in space.kind.pairs:
+        terms += [(1 << u, 1 << v), (1 << v, 1 << u)]
+    terms += [(1 << w, 1 << w) for w in space.kind.diagonals]
+    return tuple(terms)
+
+
 def bracket(space: Space, f: Poly, g: Poly) -> Poly:
-    """The Poisson/Buttin bracket of the space's kind."""
+    """The Poisson/Buttin bracket of the space's kind.  On monomials a, b
+    the term (x, y) contributes (a^x) | (b^y) when a contains x, b contains
+    y and a^x, b^y are disjoint."""
     space.check_poly(f)
     space.check_poly(g)
-    out: Poly = frozenset()
-    for u, v in space.kind.pairs:
-        out ^= mul(space, partial(space, f, u), partial(space, g, v))
-        out ^= mul(space, partial(space, f, v), partial(space, g, u))
-    for w in space.kind.diagonals:
-        out ^= mul(space, partial(space, f, w), partial(space, g, w))
-    return out
+    terms = bracket_terms(space)
+    out: set[int] = set()
+    for a in f:
+        for b in g:
+            for x, y in terms:
+                if a & x and b & y and not (a ^ x) & (b ^ y):
+                    out.symmetric_difference_update({(a ^ x) | (b ^ y)})
+    return frozenset(out)
 
 
 def divided_square(space: Space, u: Poly) -> Poly:

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from char2lie import liesuper as ls
-from char2lie.gf2core import SpanBasis
+from char2lie.gf2core import SpanBasis, span_dim
 
 
 def names(g, rows):
@@ -206,15 +206,32 @@ def test_restrictedness_negative_control():
 
 def test_ad_examples(built):
     fam, g, B = built("h", "Pi", 0, 4)
-    assert ls.ad(g, 0).rank() == 0
+    assert span_dim(g.ad_cols(0)) == 0
     # ad of a central element of po is zero
     po, _ = ls.poisson_algebra(fam.space())
-    assert ls.ad(po, 1 << 0).rank() == 0  # the unit
-    m = ls.ad(g, 1)
-    v = g.ad_cols(1)
-    for j, col in enumerate(v):
-        for t in range(g.n):
-            assert m.get(t, j) == (col >> t) & 1
+    assert span_dim(po.ad_cols(1 << 0)) == 0  # the unit
+    # the columns of ad(e_0) are the brackets [e_0, e_j]; g has no center
+    assert g.ad_cols(1) == g.brk[0]
+    assert span_dim(g.ad_cols(1)) > 0
+
+
+def test_leibniz_object_checks_squarings():
+    # po hI(0|4) is Leibniz and not graded-only, so its squaring table is
+    # checked: an even bit breaks the squaring identity, an odd bit also
+    # the squaring parity
+    po, _ = ls.poisson_algebra(ls.family("h", "I", 0, 4).space())
+    assert po.is_leibniz and not po.graded_only and po.verify_axioms().ok
+    for bit, kind in ((3, "squaring-jacobi"), (1, "squaring-parity")):
+        sq = list(po.sq)
+        sq[1] ^= 1 << bit
+        bad = ls.StructureConstants(po.basis, po.brk, sq, meta=po.meta)
+        rep = bad.verify_axioms()
+        assert not rep.ok and rep.failures[0][0] == kind, rep
+    # and its bracket parities: [e_1, e_2] gets the odd e_1
+    bad = ls.StructureConstants(po.basis, po.brk, po.sq, meta=po.meta)
+    bad.brk[1][2] ^= 1 << 1
+    bad.brk[2][1] ^= 1 << 1
+    assert ("bracket-parity", 1, 2) in bad.verify_axioms().failures
 
 
 def test_nis_invariance_includes_squares(built):

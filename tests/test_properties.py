@@ -11,6 +11,7 @@ from char2lie import deriv as dv
 from char2lie import doubleext as dx
 from char2lie import invariants as inv
 from char2lie import liesuper as ls
+from char2lie import superfunc as sf
 from char2lie.gf2core import BitMatrix, SpanBasis, span_dim
 
 
@@ -157,13 +158,23 @@ def _ref_apply(rows, x):
 def _ref_verify_axioms(g, max_failures):
     n = g.n
     fails = []
-    if g.is_leibniz:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if g.brk[i][j] != g.brk[j][i]:
-                    fails.append(("symmetry", i, j))
-        tbl = _ref_table(g)
-        col = [[tbl[m][z] for m in range(n)] for z in range(n)]
+    leibniz = g.is_leibniz
+    tbl = _ref_table(g) if leibniz else g.brk
+    pmask = [g.parity_mask(0), g.parity_mask(1)]
+    for i in range(n):
+        if not leibniz and g.brk[i][i]:
+            fails.append(("diagonal", i))
+        for j in range(i, n):
+            if tbl[i][j] != tbl[j][i]:
+                fails.append(("symmetry", i, j))
+            if tbl[i][j] & pmask[g.parity(i) ^ g.parity(j) ^ 1]:
+                fails.append(("bracket-parity", i, j))
+        if not g.graded_only and g.parity(i) == 1 and g.sq[i] & pmask[1]:
+            fails.append(("squaring-parity", i))
+        if len(fails) >= max_failures:
+            return False, fails
+    col = [[tbl[m][k] for m in range(n)] for k in range(n)]
+    if leibniz:
         for x in range(n):
             for y in range(n):
                 for z in range(n):
@@ -173,33 +184,21 @@ def _ref_verify_axioms(g, max_failures):
                         fails.append(("leibniz", x, y, z))
                         if len(fails) >= max_failures:
                             return False, fails
-        return not fails, fails
-    pmask = [g.parity_mask(0), g.parity_mask(1)]
-    for i in range(n):
-        if g.brk[i][i]:
-            fails.append(("diagonal", i))
-        for j in range(i, n):
-            if g.brk[i][j] != g.brk[j][i]:
-                fails.append(("symmetry", i, j))
-            if g.brk[i][j] & pmask[g.parity(i) ^ g.parity(j) ^ 1]:
-                fails.append(("bracket-parity", i, j))
-        if not g.graded_only and g.parity(i) == 1 and g.sq[i] & pmask[1]:
-            fails.append(("squaring-parity", i))
-        if len(fails) >= max_failures:
-            return False, fails
-    col = [[g.brk[m][k] for m in range(n)] for k in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = _ref_apply(col[k], g.brk[i][j]) ^ _ref_apply(col[i], g.brk[j][k]) ^ _ref_apply(col[j], g.brk[k][i])
-                if acc:
-                    fails.append(("jacobi", i, j, k))
-                    if len(fails) >= max_failures:
-                        return False, fails
+    else:
+        for i in range(n):
+            for j in range(i + 1, n):
+                for k in range(j + 1, n):
+                    acc = _ref_apply(col[k], g.brk[i][j]) ^ _ref_apply(col[i], g.brk[j][k])
+                    if acc ^ _ref_apply(col[j], g.brk[k][i]):
+                        fails.append(("jacobi", i, j, k))
+                        if len(fails) >= max_failures:
+                            return False, fails
     if not g.graded_only:
+        # the squaring identity reads brk, without the Leibniz diagonal
+        bcol = [[g.brk[m][k] for m in range(n)] for k in range(n)]
         for i in g.odd_indices():
             for j in range(n):
-                if _ref_apply(col[j], g.sq[i]) != _ref_apply(g.brk[i], g.brk[i][j]):
+                if _ref_apply(bcol[j], g.sq[i]) != _ref_apply(g.brk[i], g.brk[i][j]):
                     fails.append(("squaring-jacobi", i, j))
                     if len(fails) >= max_failures:
                         return False, fails
@@ -399,3 +398,71 @@ def test_rank_invariants_match_span_basis_loops():
     # no odd rank, so its search never stops early) is left out
     for g, B in bases[:4]:
         assert inv.has_odd_ad_rank(g) == _ref_has_odd_ad_rank(g), g.n
+
+
+# -- the mask bracket kernel against the derivative formula ----------------
+# The reference builds the bracket from partial derivatives and the
+# truncated product, as the library did before its single-bit term list:
+# sum over pairs (u, v) of du f dv g + dv f du g, over diagonals w of
+# dw f dw g.
+
+
+def _ref_partial(f, var):
+    bit = 1 << var
+    return [m ^ bit for m in f if m & bit]
+
+
+def _ref_mul(f, g):
+    out = set()
+    for a in f:
+        for b in g:
+            if not a & b:
+                out ^= {a | b}
+    return out
+
+
+def _ref_poly_bracket(space, f, g):
+    out = set()
+    for u, v in space.kind.pairs:
+        out ^= _ref_mul(_ref_partial(f, u), _ref_partial(g, v))
+        out ^= _ref_mul(_ref_partial(f, v), _ref_partial(g, u))
+    for w in space.kind.diagonals:
+        out ^= _ref_mul(_ref_partial(f, w), _ref_partial(g, w))
+    return frozenset(out)
+
+
+def _kernel_families():
+    fams = [fam for total in (4, 5) for fam in cli.standard_families(total)]
+    return fams + [ls.family("le", n=k) for k in (2, 3, 4)]
+
+
+def test_structure_tables_match_derivative_formula():
+    # build_algebra drops the constant and the top monomial; poisson_algebra
+    # keeps every monomial and carries [e_i, e_i] as its Leibniz diagonal
+    for fam in _kernel_families():
+        space = fam.space()
+        for g, drop in ((ls.build_algebra(fam)[0], {0, space.full_mask}), (ls.poisson_algebra(space)[0], set())):
+            masks = g.meta["masks"]
+            index = {m: i for i, m in enumerate(masks)}
+            for i, a in enumerate(masks):
+                for j in range(i, g.n):
+                    want = 0
+                    for m in _ref_poly_bracket(space, [a], [masks[j]]):
+                        if m not in drop:
+                            want |= 1 << index[m]
+                    got = g.diag[i] if i == j else g.brk[i][j]
+                    assert got == want and g.brk[j][i] == g.brk[i][j], (fam.name, g.n, i, j)
+
+
+@st.composite
+def _poly_pairs(draw):
+    space = draw(st.sampled_from([fam.space() for fam in _kernel_families()]))
+    mono = st.integers(0, space.full_mask)
+    return space, draw(st.frozensets(mono, max_size=6)), draw(st.frozensets(mono, max_size=6))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_poly_pairs())
+def test_bracket_matches_derivative_formula(pair):
+    space, f, g = pair
+    assert sf.bracket(space, f, g) == _ref_poly_bracket(space, f, g)
