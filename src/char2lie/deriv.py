@@ -203,8 +203,7 @@ def derivation_space_naive(g: StructureConstants) -> DerivationSpace:
     n = g.n
     bit = [[1 << (s * n + t) for t in range(n)] for s in range(n)]
     mat = BitMatrix.from_int_rows([row for *_, row in _equations(g, bit)], n * n)
-    kernel = mat.nullspace_basis()
-    maps = _homogenize(g, [k.bits for k in kernel])
+    maps = _homogenize(g, mat.nullspace_basis())
     return _finish(g, maps, {"path": "naive", "blocks": 1, "max_block": n * n})
 
 

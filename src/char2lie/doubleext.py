@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .deriv import LinearMap, bilinear_invariant
-from .gf2core import SpanBasis, bit_indices, flatten_cols, solve_affine
+from .gf2core import SpanBasis, bit_indices, flatten_cols, solve_affine, transpose, xor_rows
 from .liesuper import (
     EVEN,
     ODD,
@@ -252,35 +252,22 @@ def recognition(g: StructureConstants, B: BilinearFormTable) -> RecognitionRepor
     perp_span = SpanBasis()
     perp_span.extend(B.orthogonal_complement(squares))
 
-    def sq_of(x: int) -> int:
-        return 0 if g.graded_only else g.sq_vec(x)
-
-    if len(z_od) > 16:
-        raise ValueError("odd center too large to enumerate")
-
-    rec2 = False
-    wit2 = None
-    for massk in range(1, 1 << len(z_od)):
-        x = 0
-        for k in bit_indices(massk):
-            x ^= z_od[k]
-        if perp_span.contains(sq_of(x)):
-            rec2, wit2 = True, x
-            break
+    # s(x + y) = s(x) + s(y) + [x, y] = s(x) + s(y) on the center, so s is
+    # linear there: rec2 asks for a nonzero x in span(z_od) with s(x) in
+    # perp_span, i.e. a nonzero kernel of x -> s(x) mod perp_span; rec4
+    # asks for s to be nonzero on that kernel
+    sq_od = [0 if g.graded_only else g.sq_vec(x) for x in z_od]
+    modp = SpanBasis()
+    modp.extend(transpose([perp_span.reduce(sx) for sx in sq_od], g.n))
+    cone = modp.kernel(len(z_od))
+    rec2 = bool(cone)
+    wit2 = xor_rows(z_od, cone[0]) if cone else None
 
     rec3 = bool(B.parity == ODD and z_ev)
 
-    rec4 = False
-    wit4 = None
-    if B.parity == ODD:
-        for massk in range(1, 1 << len(z_od)):
-            x = 0
-            for k in bit_indices(massk):
-                x ^= z_od[k]
-            sx = sq_of(x)
-            if sx and perp_span.contains(sx):
-                rec4, wit4 = True, sx
-                break
+    cone_sq = [xor_rows(sq_od, c) for c in cone] if B.parity == ODD else []
+    wit4 = next((sx for sx in cone_sq if sx), None)
+    rec4 = wit4 is not None
 
     return RecognitionReport(
         rec1=rec1,

@@ -2,74 +2,26 @@
 
 Vectors are plain Python ints used as bitmasks (bit i = coordinate i).
 `SpanBasis` keeps their reduced row echelon form and eliminates every
-small system; `span_dim` is the rank-only kernel (forward elimination,
-no reduced rows) for callers that read only a dimension, such as the
-ad-rank spectra; numpy `BitMatrix` (rows packed into uint64 words) serves
-only the dense naive derivation oracle, where a word-wide xor pays.
-Pivoting is deterministic (first nonzero column, lowest row), so echelon
+system, from the small graded blocks to the dense naive derivation
+oracle (`BitMatrix`, its rows handed to one `SpanBasis`); `span_dim` is
+the rank-only kernel (forward elimination, no reduced rows) for callers
+that read only a dimension, such as the ad-rank spectra.  Pivoting is
+deterministic (each row's pivot is its lowest set bit), so echelon
 forms, nullspace bases and solutions are reproducible across runs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
-    "BitVector",
     "BitMatrix",
     "SpanBasis",
     "span_dim",
-    "rank",
-    "nullspace_basis",
     "solve_affine",
     "flatten_cols",
     "unflatten_cols",
 ]
-
-
-def _nwords(cols: int) -> int:
-    return max(1, (cols + 63) >> 6)
-
-
-def _int_to_words(x: int, nwords: int) -> np.ndarray:
-    return np.frombuffer(x.to_bytes(nwords * 8, "little"), dtype=np.uint64).copy()
-
-
-def _words_to_int(row: np.ndarray) -> int:
-    return int.from_bytes(row.tobytes(), "little")
-
-
-@dataclass(frozen=True)
-class BitVector:
-    """A GF(2) vector: `length` coordinates packed into the int `bits`."""
-
-    length: int
-    bits: int = 0
-
-    def __post_init__(self):
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits outside declared length")
-
-    @classmethod
-    def from_indices(cls, length: int, indices) -> "BitVector":
-        bits = 0
-        for i in indices:
-            bits |= 1 << i
-        return cls(length, bits)
-
-    def get(self, i: int) -> int:
-        return (self.bits >> i) & 1
-
-    def support(self) -> list[int]:
-        return bit_indices(self.bits)
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
 
 
 def bit_indices(x: int) -> list[int]:
@@ -118,138 +70,26 @@ def unflatten_cols(vec: int, n: int) -> tuple[int, ...]:
 
 
 class BitMatrix:
-    """Row-major packed GF(2) matrix."""
+    """A dense GF(2) system of `rows` equations in `cols` unknowns, its rows
+    (`data`) int masks below 2**cols: the one-system form of the naive
+    derivation oracle, eliminated by `SpanBasis` like every other system."""
 
-    __slots__ = ("rows", "cols", "words", "data")
+    __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, rows: int, cols: int, data: np.ndarray | None = None):
-        self.rows = rows
+    def __init__(self, data: list[int], cols: int):
+        self.rows = len(data)
         self.cols = cols
-        self.words = _nwords(cols)
-        if data is None:
-            data = np.zeros((rows, self.words), dtype=np.uint64)
         self.data = data
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.set(i, i, 1)
-        return m
-
-    @classmethod
     def from_int_rows(cls, int_rows, cols: int) -> "BitMatrix":
-        nw = _nwords(cols)
-        data = np.zeros((len(int_rows), nw), dtype=np.uint64)
-        for i, r in enumerate(int_rows):
-            data[i] = _int_to_words(r, nw)
-        return cls(len(int_rows), cols, data)
+        return cls(list(int_rows), cols)
 
-    @classmethod
-    def from_dense(cls, rows_of_bits) -> "BitMatrix":
-        nr = len(rows_of_bits)
-        nc = len(rows_of_bits[0]) if nr else 0
-        m = cls(nr, nc)
-        for i, row in enumerate(rows_of_bits):
-            for j, v in enumerate(row):
-                if v & 1:
-                    m.set(i, j, 1)
-        return m
-
-    def get(self, i: int, j: int) -> int:
-        return int((self.data[i, j >> 6] >> np.uint64(j & 63)) & np.uint64(1))
-
-    def set(self, i: int, j: int, v: int) -> None:
-        w = np.uint64(1) << np.uint64(j & 63)
-        if v & 1:
-            self.data[i, j >> 6] |= w
-        else:
-            self.data[i, j >> 6] &= ~w
-
-    def row_int(self, i: int) -> int:
-        return _words_to_int(self.data[i])
-
-    def int_rows(self) -> list[int]:
-        return [_words_to_int(self.data[i]) for i in range(self.rows)]
-
-    def transpose(self) -> "BitMatrix":
-        t = BitMatrix(self.cols, self.rows)
-        for i in range(self.rows):
-            r = self.row_int(i)
-            while r:
-                low = r & -r
-                j = low.bit_length() - 1
-                t.set(j, i, 1)
-                r ^= low
-        return t
-
-    def mat_vec(self, v: BitVector) -> BitVector:
-        if v.length != self.cols:
-            raise ValueError("dimension mismatch")
-        w = _int_to_words(v.bits, self.words)
-        par = np.bitwise_count(self.data & w).sum(axis=1) & 1
-        bits = 0
-        for i in np.nonzero(par)[0]:
-            bits |= 1 << int(i)
-        return BitVector(self.rows, bits)
-
-    def rank(self) -> int:
-        return len(self.rref()[0])
-
-    def rref(self) -> tuple[list[int], list[int]]:
-        """Reduced row echelon form: (pivot columns, nonzero rows as ints).
-        Buffers are allocated once, not per pivot column."""
-        data = self.data.copy()
-        nrows = data.shape[0]
-        bits = np.empty(nrows, dtype=np.uint64)
-        mask = np.empty(nrows, dtype=bool)
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == nrows:
-                break
-            np.bitwise_and(data[:, c >> 6], np.uint64(1) << np.uint64(c & 63), out=bits)
-            np.not_equal(bits, 0, out=mask)
-            p = r + int(np.argmax(mask[r:]))
-            if not mask[p]:
-                continue
-            if p != r:
-                data[[r, p]] = data[[p, r]]
-            # mask[r] is False when p != r: p is the first set row at or after r
-            mask[p] = False
-            hit = np.flatnonzero(mask)
-            if hit.size:
-                data[hit] ^= data[r]
-            pivots.append(c)
-            r += 1
-        return pivots, [_words_to_int(data[i]) for i in range(r)]
-
-    def nullspace_basis(self) -> list[BitVector]:
+    def nullspace_basis(self) -> list[int]:
         """Basis of {x : M x = 0}; one vector per free column, ascending."""
-        pivots, rows = self.rref()
-        pivset = set(pivots)
-        basis = []
-        for f in range(self.cols):
-            if f in pivset:
-                continue
-            bits = 1 << f
-            for prow, pcol in zip(rows, pivots):
-                if (prow >> f) & 1:
-                    bits |= 1 << pcol
-            basis.append(BitVector(self.cols, bits))
-        return basis
-
-
-def rank(m: BitMatrix) -> int:
-    return m.rank()
-
-
-def nullspace_basis(m: BitMatrix) -> list[BitVector]:
-    return m.nullspace_basis()
+        span = SpanBasis()
+        span.extend(self.data)
+        return span.kernel(self.cols)
 
 
 class SpanBasis:
@@ -328,8 +168,7 @@ class SpanBasis:
     def kernel(self, ncols: int) -> list[int]:
         """Basis of {x < 2**ncols : r.x = 0 for every row r}, the rows cut
         to their first ncols coordinates: one vector per free column,
-        ascending, holding the free column and the pivots that cancel it
-        (the bits of `BitMatrix.nullspace_basis` on the same rows)."""
+        ascending, holding the free column and the pivots that cancel it."""
         low = (1 << ncols) - 1
         dep: dict[int, int] = {}
         for p, row in zip(self.pivots, self.rows):

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -183,6 +184,16 @@ def test_console_entrypoint():
     )
     assert res.returncode == 0
     assert "sdim" in res.stdout
+
+
+def test_cli_import_pulls_in_no_numpy():
+    # the library is pure Python: importing the CLI, which imports every
+    # char2lie module, must not load numpy
+    code = "import sys\nimport char2lie.cli\nprint('numpy' in sys.modules)\n"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_standard_families_enumeration():

@@ -1,8 +1,12 @@
+import random
+
 import pytest
 
+from char2lie import cli
 from char2lie import deriv as dv
 from char2lie import doubleext as dx
 from char2lie import liesuper as ls
+from char2lie.gf2core import SpanBasis
 
 
 def gens_of(built, *args):
@@ -173,6 +177,80 @@ def test_recognition_on_built_extensions(built):
     ext = dx.build(dx.case_of(gle, Ble, D), gle, Ble, dx.prepare(gle, Ble, D))
     rep = dx.recognition(ext.alg, ext.form)
     assert rep.center_odd == 1 and rep.rec2
+
+
+def _ref_cone(g, B):
+    """Reference for rec2/rec4: enumerate every nonzero x of span(z_od) as a
+    subset of its echelon basis.  Returns the x with s(x) in the orthogonal
+    complement of the squares, and the nonzero such s(x)."""
+    ev_mask = g.parity_mask(ls.EVEN)
+    od = SpanBasis()
+    od.extend(r & ~ev_mask for r in ls.center(g).rows)
+    perp = SpanBasis()
+    perp.extend(B.orthogonal_complement(ls.odd_squares_span(g)))
+    cone, squares = [], []
+    for mask in range(1, 1 << od.dim):
+        x = 0
+        for k in range(od.dim):
+            if (mask >> k) & 1:
+                x ^= od.rows[k]
+        sx = 0 if g.graded_only else g.sq_vec(x)
+        if perp.contains(sx):
+            cone.append(x)
+            if sx:
+                squares.append(sx)
+    return cone, squares
+
+
+def _abelian_objects(count: int, seed: int):
+    """Abelian superalgebras with random squarings and random nondegenerate
+    forms of either parity.  On an algebra with a nis form every central
+    odd square is 0 (B(s(x), y) = B(x, [x, y]) = 0 for all y), so only
+    these forms, which are not invariant, reach a nonzero s mod perp_span
+    and a positive rec4."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(2, 6)
+        parities = [rng.randint(0, 1) for _ in range(n)]
+        even = sum(1 << i for i, p in enumerate(parities) if p == ls.EVEN)
+        basis = [ls.BasisElement(f"e{i}", p, 0, ()) for i, p in enumerate(parities)]
+        sq = [rng.getrandbits(n) & even if p == ls.ODD else 0 for p in parities]
+        gram = [rng.getrandbits(n) for _ in range(n)]
+        while not ls.BilinearFormTable(tuple(gram), 0).is_nondegenerate():
+            gram = [rng.getrandbits(n) for _ in range(n)]
+        g = ls.StructureConstants(basis, [[0] * n for _ in range(n)], sq)
+        yield f"abelian #{k}", g, ls.BilinearFormTable(tuple(gram), rng.randint(0, 1))
+
+
+def test_recognition_matches_subset_enumeration(built):
+    objects = []
+    for total in (4, 5, 6):
+        for fam in cli.standard_families(total):
+            objects.append((fam.name,) + ls.build_algebra(fam))
+            objects.append((f"po {fam.name}",) + ls.poisson_algebra(fam.space()))
+    lef, gle, Ble, lgens = gens_of(built, "le", "", 0, 0, 2)
+    D = lgens["Db[q1]"]
+    ext = dx.build(dx.case_of(gle, Ble, D), gle, Ble, dx.prepare(gle, Ble, D))
+    objects.append(("le(2|2) Db[q1]", ext.alg, ext.form))
+    objects.extend(_abelian_objects(60, seed=3))
+    verdicts = set()
+    for name, g, B in objects:
+        rep = dx.recognition(g, B)
+        cone, squares = _ref_cone(g, B)
+        assert rep.rec2 == bool(cone), name
+        if cone:
+            assert rep.witnesses["rec2"] in cone, name
+        else:
+            assert rep.witnesses["rec2"] is None, name
+        assert rep.rec4 == (B.parity == ls.ODD and bool(squares)), name
+        if rep.rec4:
+            assert rep.witnesses["rec4"] in squares, name
+        else:
+            assert rep.witnesses["rec4"] is None, name
+        verdicts.add((rep.rec2, rep.rec4, bool(squares)))
+    # both verdicts of each route occur, and cones holding nonzero squares
+    assert {(False, False, False), (True, False, False), (True, True, True)} <= verdicts
+    assert any(rec2 and not rec4 and nonzero for rec2, rec4, nonzero in verdicts)
 
 
 def test_leibniz_extension_rows(built):

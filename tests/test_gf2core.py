@@ -1,20 +1,17 @@
 import itertools
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from char2lie.gf2core import (
-    BitMatrix,
-    BitVector,
     SpanBasis,
     bit_indices,
     echelon_complement,
-    nullspace_basis,
-    rank,
     solve_affine,
+    span_dim,
     span_equal,
+    transpose,
 )
 
 
@@ -54,97 +51,94 @@ def rank_oracle(rows, ncols):
     return best
 
 
+def _mat_vec(rows, x: int) -> int:
+    """The image of x under the matrix with the given int-mask rows."""
+    return sum(((r & x).bit_count() & 1) << i for i, r in enumerate(rows))
+
+
+def _kernel(rows, ncols: int) -> list[int]:
+    span = SpanBasis()
+    span.extend(rows)
+    return span.kernel(ncols)
+
+
 def test_rank_identity_and_zero():
-    assert rank(BitMatrix.identity(5)) == 5
-    assert rank(BitMatrix.zeros(3, 4)) == 0
+    assert span_dim([1 << i for i in range(5)]) == 5
+    assert span_dim([0, 0, 0]) == 0
 
 
 def test_rank_exhaustive_3x3_against_minor_oracle():
     for bits in range(512):
         rows = [[(bits >> (3 * i + j)) & 1 for j in range(3)] for i in range(3)]
-        m = BitMatrix.from_dense(rows)
-        assert m.rank() == rank_oracle(rows, 3), rows
+        ints = [(bits >> (3 * i)) & 7 for i in range(3)]
+        span = SpanBasis()
+        span.extend(ints)
+        assert span_dim(ints) == span.dim == rank_oracle(rows, 3), rows
 
 
 def test_rank_transpose_and_idempotence():
     rng = random.Random(7)
     for _ in range(30):
-        rows = [[rng.randint(0, 1) for _ in range(6)] for _ in range(4)]
-        m = BitMatrix.from_dense(rows)
-        r = m.rank()
-        assert r == m.rank()
-        assert r == m.transpose().rank()
+        rows = [rng.getrandbits(6) for _ in range(4)]
+        span = SpanBasis()
+        span.extend(rows)
+        r = span_dim(rows)
+        assert r == span.dim == span_dim(span.rows)
+        assert r == span_dim(transpose(rows, 6))
 
 
 def test_nullspace_identity_empty():
-    assert nullspace_basis(BitMatrix.identity(4)) == []
+    assert _kernel([1 << i for i in range(4)], 4) == []
 
 
 def test_nullspace_zero_matrix():
-    basis = nullspace_basis(BitMatrix.zeros(2, 3))
+    basis = _kernel([0, 0], 3)
     assert len(basis) == 3
     span = SpanBasis()
     for v in basis:
-        assert span.add(v.bits)
+        assert span.add(v)
 
 
 def test_nullspace_recheck_random():
     rng = random.Random(11)
     for _ in range(20):
-        rows = [[rng.randint(0, 1) for _ in range(6)] for _ in range(4)]
-        m = BitMatrix.from_dense(rows)
-        basis = m.nullspace_basis()
-        assert len(basis) == 6 - m.rank()
+        rows = [rng.getrandbits(6) for _ in range(4)]
+        basis = _kernel(rows, 6)
+        assert len(basis) == 6 - span_dim(rows)
         for v in basis:
-            assert m.mat_vec(v).bits == 0
+            assert _mat_vec(rows, v) == 0
         span = SpanBasis()
         for v in basis:
-            assert span.add(v.bits)
+            assert span.add(v)
 
 
-def _equations(m: BitMatrix, b: BitVector):
-    return [(row, b.get(i)) for i, row in enumerate(m.int_rows())]
+def _equations(rows, b: int):
+    return [(row, (b >> i) & 1) for i, row in enumerate(rows)]
 
 
 def test_solve_identity_and_inconsistent():
-    ident = BitMatrix.identity(4)
-    b = BitVector.from_indices(4, [1, 3])
-    assert solve_affine(_equations(ident, b), 4)[0] == b.bits
-    zero = BitMatrix.zeros(3, 3)
-    assert solve_affine(_equations(zero, BitVector.from_indices(3, [0])), 3) is None
+    ident = [1 << i for i in range(4)]
+    b = 0b1010
+    assert solve_affine(_equations(ident, b), 4)[0] == b
+    assert solve_affine(_equations([0, 0, 0], 0b001), 3) is None
 
 
 def test_solve_substitution_recheck():
     rng = random.Random(13)
     for _ in range(25):
-        rows = [[rng.randint(0, 1) for _ in range(5)] for _ in range(5)]
-        m = BitMatrix.from_dense(rows)
-        x0 = BitVector(5, rng.randrange(32))
-        b = m.mat_vec(x0)
-        solved = solve_affine(_equations(m, b), 5)
+        rows = [rng.getrandbits(5) for _ in range(5)]
+        b = _mat_vec(rows, rng.randrange(32))
+        solved = solve_affine(_equations(rows, b), 5)
         assert solved is not None
-        assert m.mat_vec(BitVector(5, solved[0])).bits == b.bits
+        assert _mat_vec(rows, solved[0]) == b
 
 
 def test_rank_nullity():
     rng = random.Random(17)
     for _ in range(20):
         r, c = rng.randint(1, 8), rng.randint(1, 8)
-        rows = [[rng.randint(0, 1) for _ in range(c)] for _ in range(r)]
-        m = BitMatrix.from_dense(rows)
-        assert m.rank() + len(m.nullspace_basis()) == c
-
-
-def test_wide_matrix_words_boundary():
-    # exercise the multi-word path around the 64-bit boundary
-    rng = random.Random(19)
-    for cols in (63, 64, 65, 130):
-        ints = [rng.getrandbits(cols) for _ in range(10)]
-        m = BitMatrix.from_int_rows(ints, cols)
-        assert m.int_rows() == ints
-        assert m.rank() <= 10
-        for v in m.nullspace_basis():
-            assert m.mat_vec(v).bits == 0
+        rows = [rng.getrandbits(c) for _ in range(r)]
+        assert span_dim(rows) + len(_kernel(rows, c)) == c
 
 
 def test_span_basis_tracking_and_complement():
@@ -165,13 +159,6 @@ def test_span_basis_tracking_and_complement():
     assert all((r & 1) == 0 for r in reps)
 
 
-def test_bitvector_xor_and_validation():
-    v = BitVector.from_indices(5, [0, 3]) ^ BitVector.from_indices(5, [3, 4])
-    assert v.support() == [0, 4]
-    with pytest.raises(ValueError):
-        BitVector(3, 8)
-
-
 @st.composite
 def _systems(draw):
     """(ncols, equations): up to 40 rows over 1-130 unknowns, each row dense
@@ -183,18 +170,63 @@ def _systems(draw):
     return ncols, draw(st.lists(st.tuples(row, st.integers(0, 1)), max_size=40))
 
 
+def _dense_rref(rows, ncols: int) -> tuple[list[int], list[list[int]]]:
+    """Gauss-Jordan on rows given as lists of bits, pivoting on the first
+    nonzero column and the first row at or below the current one: (pivot
+    columns, nonzero reduced rows).  The independent reference for the
+    int-mask eliminator."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                m[i] = [x ^ y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return pivots, m[: len(pivots)]
+
+
+def _dense_kernel(pivots, reduced, ncols: int) -> list[list[int]]:
+    """One kernel vector per free column, ascending: the free column plus
+    the pivots whose rows hold it."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = 1
+        for row, p in zip(reduced, pivots):
+            v[p] = row[f]
+        basis.append(v)
+    return basis
+
+
+def _bits(x: int, ncols: int) -> list[int]:
+    return [(x >> j) & 1 for j in range(ncols)]
+
+
 @settings(derandomize=True, database=None)
 @given(_systems())
-def test_span_kernel_and_solve_agree_with_bitmatrix(system):
+def test_span_kernel_and_solve_agree_with_dense_gauss_jordan(system):
     ncols, eqs = system
     rows = [r for r, _ in eqs]
+    pivots, reduced = _dense_rref([_bits(r, ncols) for r in rows], ncols)
     span = SpanBasis()
     span.extend(rows)
-    assert span.kernel(ncols) == [v.bits for v in BitMatrix.from_int_rows(rows, ncols).nullspace_basis()]
-    aug_pivots, _ = BitMatrix.from_int_rows([r | (b << ncols) for r, b in eqs], ncols + 1).rref()
+    assert span_dim(rows) == span.dim == len(pivots)
+    assert [_bits(v, ncols) for v in span.kernel(ncols)] == _dense_kernel(pivots, reduced, ncols)
+    aug_pivots, aug_reduced = _dense_rref([_bits(r, ncols) + [b] for r, b in eqs], ncols + 1)
     solved = solve_affine(eqs, ncols)
     assert (solved is None) == (ncols in aug_pivots)
     if solved is not None:
         x, kernel = solved
+        expect = [0] * ncols
+        for row, p in zip(aug_reduced, aug_pivots):
+            expect[p] = row[ncols]
+        assert _bits(x, ncols) == expect
         assert all((r & x).bit_count() & 1 == b for r, b in eqs)
         assert kernel == span.kernel(ncols)
