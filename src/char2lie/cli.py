@@ -20,7 +20,7 @@ from . import deriv as dv
 from . import doubleext as dx
 from . import invariants as inv
 from . import liesuper as ls
-from .gf2core import SpanBasis, bit_indices, echelon_complement
+from .gf2core import SpanBasis, bit_indices, echelon_complement, xor_rows
 
 EXIT_OK, EXIT_VERIFY, EXIT_USAGE = 0, 1, 2
 
@@ -46,12 +46,12 @@ def family_slug(fam: ls.FamilySpec) -> str:
 def check_range(fam: ls.FamilySpec, override: bool = False) -> None:
     if fam.kind == "le":
         if fam.a > LE_MAX and not override:
-            raise VerificationError(f"le(n|n) supported for n <= {LE_MAX} (use --override-size)")
+            raise VerificationError(f"le(n|n) supported for n <= {LE_MAX} (the per-family commands take --override-size)")
         return
     total = fam.a + fam.b
     lo, hi = H_SIZE_RANGE
     if not (lo <= total <= hi) and not override:
-        raise VerificationError(f"h families need {lo} <= a+b <= {hi} (use --override-size)")
+        raise VerificationError(f"h families need {lo} <= a+b <= {hi} (the per-family commands take --override-size)")
 
 
 def standard_families(total: int) -> list[ls.FamilySpec]:
@@ -143,7 +143,11 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             continue
         parts = ln.split()
         if parts[0] == "family":
-            meta["family"] = ls.family(parts[1], parts[2], int(parts[3]), int(parts[4]), n=int(parts[3]))
+            a, b = int(parts[3]), int(parts[4])
+            # the variable space is built from a and b, so bound them first
+            if min(a, b) < 0 or a + b > len(lines):
+                raise ValueError(f"family record {ln!r} outside 0 <= a, b and a+b <= {len(lines)}, the file's lines")
+            meta["family"] = ls.family(parts[1], parts[2], a, b, n=a)
         elif parts[0] == "graded":
             meta["graded"] = True
         elif parts[0] in ("sdim", "field"):
@@ -225,83 +229,59 @@ class FamilyAnalysis:
         return "graded" if self.g.graded_only else "super"
 
 
-def _preserving_split(analysis_g, B, shift, solutions, inner_vecs):
-    """Split the outer part of a shift cell into the form-preserving
-    subspace and a complement; returns (preserving reps, other reps)."""
-    n = analysis_g.n
-    full = SpanBasis()
-    for v in inner_vecs + solutions:
-        full.add(v)
-    basis = list(full.rows)
-    # preserving subspace: linear conditions over cell-basis combinations,
-    # one row per basis pair (i, j) that some basis vector violates
+def _derivation_row(label, degree, weights, parity, maps, g, B) -> DerivationRow:
+    return DerivationRow(label, degree, weights, parity, len(maps),
+                         all(dv.bilinear_invariant(m, B) for m in maps),
+                         all(dv.extra_condition(m, B, g) for m in maps),
+                         maps)
+
+
+def _preserving_split(B, sols, inner):
+    """Split the outer part of a shift cell, given its derivations and its
+    inner derivations, into the form-preserving subspace and a
+    complement; returns (preserving reps, other reps) as vectors."""
+    vecs = [d.as_vec() for d in sols]
+    inner_vecs = [d.as_vec() for d in inner]
+    # preserving subspace: linear conditions over combinations of the
+    # cell's derivations, one row per basis pair (i, j) that one violates
     cond: dict[tuple[int, int], int] = {}
-    for k, v in enumerate(basis):
-        for ij in dv.invariance_failures(dv.LinearMap.from_vec(v, n, *shift), B):
+    for k, d in enumerate(sols):
+        for ij in dv.invariance_failures(d, B):
             cond[ij] = cond.get(ij, 0) | (1 << k)
     span = SpanBasis()
     span.extend(cond[ij] for ij in sorted(cond))
-    pres_full = []
-    for kv in span.kernel(len(basis)):
-        vec = 0
-        for k in bit_indices(kv):
-            vec ^= basis[k]
-        pres_full.append(vec)
-    pres_reps = echelon_complement(inner_vecs, pres_full)
-    other_reps = echelon_complement(inner_vecs + pres_full, inner_vecs + solutions)
-    return pres_reps, other_reps
+    pres_full = [xor_rows(vecs, kv) for kv in span.kernel(len(vecs))]
+    return echelon_complement(inner_vecs, pres_full), echelon_complement(inner_vecs + pres_full, vecs)
 
 
 def analyze_family(fam: ls.FamilySpec) -> FamilyAnalysis:
     g, B = ls.build_algebra(fam)
     space = dv.derivation_space_blocked(g)
-    n = g.n
     rows: list[DerivationRow] = []
     zero_wt = (0,) * len(g.basis[0].weight)
-    inner_by_shift: dict = {}
-    for d in space.inner:
-        inner_by_shift.setdefault((d.degree, d.weight, d.parity), []).append(d.as_vec())
-    sol_by_shift: dict = {}
-    for d in space.all:
-        sol_by_shift.setdefault((d.degree, d.weight, d.parity), []).append(d.as_vec())
-
-    db_rows: dict = {}
+    db: dict = {}  # parity -> (weights, reps) of the degree-0 classes of nonzero weight
     for key in sorted(space.outer_reps):
         deg, wt, par = key
         reps = space.outer_reps[key]
         if deg == 0 and wt != zero_wt:
-            grp = db_rows.setdefault(("Db", par), DerivationRow("Db", 0, (), par, 0, True, True))
-            grp.count += len(reps)
-            grp.weights = tuple(sorted(set(grp.weights) | {wt}))
-            grp.reps.extend(reps)
-        elif deg == 0 and wt == zero_wt:
-            pres, other = _preserving_split(g, B, key, sol_by_shift.get(key, []), inner_by_shift.get(key, []))
+            weights, maps = db.setdefault(par, (set(), []))
+            weights.add(wt)
+            maps.extend(reps)
+        elif deg == 0:
+            pres, other = _preserving_split(B, [d for d in space.all if d.shift == key],
+                                            [d for d in space.inner if d.shift == key])
             # labels: the preserving weight-zero class is D0; a
             # non-preserving one is Dtheta, except when it is the only
             # weight-zero class (the odd-dimension families' D0 row)
-            named = [(pres, "D0"), (other, "Dtheta" if pres else "D0")]
-            for vecs, label in named:
+            for vecs, label in [(pres, "D0"), (other, "Dtheta" if pres else "D0")]:
                 if vecs:
-                    maps = [dv.LinearMap.from_vec(v, n, *key) for v in vecs]
-                    rows.append(
-                        DerivationRow(label, 0, (wt,), par, len(maps),
-                                      all(dv.bilinear_invariant(m, B) for m in maps),
-                                      all(dv.extra_condition(m, B, g) for m in maps),
-                                      maps)
-                    )
+                    maps = [dv.LinearMap.from_vec(v, g.n, *key) for v in vecs]
+                    rows.append(_derivation_row(label, 0, (wt,), par, maps, g, B))
         else:
-            label = f"D({deg:+d})"
-            maps = list(reps)
-            rows.append(
-                DerivationRow(label, deg, (wt,), par, len(maps),
-                              all(dv.bilinear_invariant(m, B) for m in maps),
-                              all(dv.extra_condition(m, B, g) for m in maps),
-                              maps)
-            )
-    for (_, par), grp in sorted(db_rows.items()):
-        grp.bilinear = all(dv.bilinear_invariant(m, B) for m in grp.reps)
-        grp.extra_odd = all(dv.extra_condition(m, B, g) for m in grp.reps)
-        rows.append(grp)
+            rows.append(_derivation_row(f"D({deg:+d})", deg, (wt,), par, list(reps), g, B))
+    for par in sorted(db):
+        weights, maps = db[par]
+        rows.append(_derivation_row("Db", 0, tuple(sorted(weights)), par, maps, g, B))
     order = {"Db": 1, "D0": 2, "Dtheta": 3}
     rows.sort(key=lambda r: (r.degree, order.get(r.label, 0), r.label, r.parity))
     return FamilyAnalysis(fam, g, B, space, rows)
@@ -319,6 +299,13 @@ class DexRow:
     built: list = field(default_factory=list)  # (name, ExtendedAlgebra, verdicts)
     identified: str = ""
     notes: str = ""
+
+    @property
+    def verdict(self) -> str:
+        """'-' when nothing was built, else 'ok' or 'fail' over the built extensions."""
+        if not self.built:
+            return "-"
+        return "ok" if all(v for _, _, v in self.built) else "fail"
 
 
 def dex_family(fam: ls.FamilySpec, identify: bool = True):
@@ -384,7 +371,8 @@ def render_derivation_report(an: FamilyAnalysis) -> str:
             f"bilinear {'yes' if r.bilinear else 'no'} extra-odd {'yes' if r.extra_odd else 'no'}"
         )
     # completeness finding: outer classes the closed-form generators miss
-    span = ls.inner_span(an.g)
+    span = SpanBasis()
+    span.extend(d.as_vec() for d in an.space.inner)
     for _, D in dv.closed_form_generators(an.fam, an.g):
         span.add(D.as_vec())
     extra = []
@@ -404,7 +392,7 @@ def render_dex_table(fam: ls.FamilySpec, an: FamilyAnalysis, rows: list) -> str:
     out.append(f"{'row':10s} {'deg':>4s} {'par':>3s} {'#':>2s} {'case':10s} {'data':6s} {'ext':4s} {'verified':8s} {'identified':10s}")
     for r in rows:
         built = "yes" if r.built else "-"
-        ver = "ok" if (r.built and all(v for _, _, v in r.built)) else ("-" if not r.built else "FAIL")
+        ver = "FAIL" if r.verdict == "fail" else r.verdict
         out.append(
             f"{r.label:10s} {r.degree:+4d} {r.parity:3d} {r.count:2d} {r.case:10s} {r.data_kind:6s} "
             f"{built:4s} {ver:8s} {r.identified or '-':10s}"
@@ -427,7 +415,7 @@ def render_dex_csv(fam: ls.FamilySpec, rows: list) -> str:
                     r.data_kind.replace(",", "+"),
                     "yes" if r.preserves else "no",
                     "yes" if r.built else "no",
-                    "ok" if (r.built and all(v for _, _, v in r.built)) else ("-" if not r.built else "fail"),
+                    r.verdict,
                     r.identified or "-",
                     str(len(r.built)),
                 ]
@@ -442,14 +430,17 @@ def render_dex_csv(fam: ls.FamilySpec, rows: list) -> str:
 
 
 def _fam_from_args(args) -> ls.FamilySpec:
-    if args.family == "le":
-        if args.n is None:
-            raise VerificationError("le needs --n")
-        fam = ls.family("le", n=args.n)
-    else:
-        if args.form is None or args.even is None or args.odd is None:
-            raise VerificationError("h needs --form, --even, --odd")
-        fam = ls.family("h", args.form, args.even, args.odd)
+    try:
+        if args.family == "le":
+            if args.n is None:
+                raise VerificationError("le needs --n")
+            fam = ls.family("le", n=args.n)
+        else:
+            if args.form is None or args.even is None or args.odd is None:
+                raise VerificationError("h needs --form, --even, --odd")
+            fam = ls.family("h", args.form, args.even, args.odd)
+    except ValueError as e:
+        raise VerificationError(f"no such family: {e}") from e
     check_range(fam, args.override_size)
     return fam
 
@@ -534,8 +525,7 @@ def cmd_dex(args) -> int:
         ]
         (outdir / f"{name}.sca").write_text(sca_dump(ext.alg, ext.form, header))
     sys.stdout.write(table)
-    bad = [r for r in rows if r.built and not all(v for _, _, v in r.built)]
-    return EXIT_VERIFY if bad else EXIT_OK
+    return EXIT_VERIFY if any(r.verdict == "fail" for r in rows) else EXIT_OK
 
 
 def cmd_identify(args) -> int:
@@ -585,20 +575,26 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
+    # every size is checked before anything is computed
+    fams = []
+    for total in args.sizes or [4]:
+        try:
+            fams += standard_families(total)
+        except ValueError as e:
+            raise VerificationError(f"no standard families of size {total}: {e}") from e
+    for fam in fams:
+        check_range(fam)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    sizes = args.sizes or [4]
     chunks = []
     csvs = ["family,row,degree,parity,count,case,data,preserves,built,verified,identified,m_variants"]
     status = EXIT_OK
-    for total in sizes:
-        for fam in standard_families(total):
-            an, rows, exts = dex_family(fam)
-            chunks.append(render_dex_table(fam, an, rows))
-            csvs.extend(render_dex_csv(fam, rows).splitlines()[1:])
-            bad = [r for r in rows if r.built and not all(v for _, _, v in r.built)]
-            if bad:
-                status = EXIT_VERIFY
+    for fam in fams:
+        an, rows, exts = dex_family(fam)
+        chunks.append(render_dex_table(fam, an, rows))
+        csvs.extend(render_dex_csv(fam, rows).splitlines()[1:])
+        if any(r.verdict == "fail" for r in rows):
+            status = EXIT_VERIFY
     text = "\n".join(chunks)
     (outdir / "report.txt").write_text(text)
     (outdir / "report.csv").write_text("\n".join(csvs) + "\n")

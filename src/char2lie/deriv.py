@@ -32,6 +32,10 @@ class LinearMap:
     def n(self) -> int:
         return len(self.cols)
 
+    @property
+    def shift(self) -> ShiftKey:
+        return (self.degree, self.weight, self.parity)
+
     def apply(self, x: int) -> int:
         return xor_rows(self.cols, x)
 
@@ -39,9 +43,9 @@ class LinearMap:
         return not any(self.cols)
 
     def __xor__(self, other: "LinearMap") -> "LinearMap":
-        if (self.degree, self.weight, self.parity) != (other.degree, other.weight, other.parity):
+        if self.shift != other.shift:
             raise ValueError("shift mismatch")
-        return LinearMap(tuple(a ^ b for a, b in zip(self.cols, other.cols)), self.degree, self.weight, self.parity)
+        return LinearMap(tuple(a ^ b for a, b in zip(self.cols, other.cols)), *self.shift)
 
     def as_vec(self) -> int:
         return flatten_cols(self.cols, self.n)
@@ -75,14 +79,18 @@ def extra_condition(D: LinearMap, B: BilinearFormTable, g: StructureConstants) -
     return True
 
 
+def cell_shift(ks, kt) -> ShiftKey:
+    """The shift that carries cell key ks to cell key kt."""
+    return (kt[0] - ks[0], tuple(a - b for a, b in zip(kt[1], ks[1])), kt[2] ^ ks[2])
+
+
 def shift_of(g: StructureConstants, cols: list[int]) -> ShiftKey | None:
     """The (degree, weight, parity) shift of a map, or None if mixed."""
     shift = None
     for j, c in enumerate(cols):
         kj = g.cell_key(j)
         for t in bit_indices(c):
-            kt = g.cell_key(t)
-            s = (kt[0] - kj[0], tuple(a - b for a, b in zip(kt[1], kj[1])), kt[2] ^ kj[2])
+            s = cell_shift(kj, g.cell_key(t))
             if shift is None:
                 shift = s
             elif shift != s:
@@ -97,24 +105,7 @@ def linear_map_from_cols(g: StructureConstants, cols) -> LinearMap:
     s = shift_of(g, list(cols))
     if s is None:
         raise ValueError("map is not grading homogeneous")
-    return LinearMap(tuple(cols), s[0], s[1], s[2])
-
-
-@dataclass
-class GradedBlocks:
-    """Partition of the basis by (degree, weight, parity)."""
-
-    cells: dict
-    cell_of: list
-
-    @classmethod
-    def of(cls, g: StructureConstants) -> "GradedBlocks":
-        cells = g.cells()
-        return cls(cells, [g.cell_key(i) for i in range(g.n)])
-
-    @property
-    def max_cell(self) -> int:
-        return max(len(v) for v in self.cells.values())
+    return LinearMap(tuple(cols), *s)
 
 
 @dataclass
@@ -136,15 +127,6 @@ class DerivationSpace:
     @property
     def dim_outer(self) -> int:
         return sum(len(v) for v in self.outer_reps.values())
-
-    def inner_span(self) -> SpanBasis:
-        return inner_span(self.algebra)
-
-    def full_span(self) -> SpanBasis:
-        s = SpanBasis()
-        for d in self.all:
-            s.add(d.as_vec())
-        return s
 
 
 def _rev_table(g: StructureConstants) -> list[list[int]]:
@@ -217,9 +199,7 @@ def _homogenize(g: StructureConstants, vecs: list[int]) -> list[LinearMap]:
         for j, col in enumerate(unflatten_cols(vec, n)):
             kj = g.cell_key(j)
             for t in bit_indices(col):
-                kt = g.cell_key(t)
-                s = (kt[0] - kj[0], tuple(a - b for a, b in zip(kt[1], kj[1])), kt[2] ^ kj[2])
-                comp.setdefault(s, [0] * n)[j] |= 1 << t
+                comp.setdefault(cell_shift(kj, g.cell_key(t)), [0] * n)[j] |= 1 << t
         for s, cols in comp.items():
             per_shift.setdefault(s, SpanBasis()).add(flatten_cols(cols, n))
     out = []
@@ -230,23 +210,16 @@ def _homogenize(g: StructureConstants, vecs: list[int]) -> list[LinearMap]:
 
 
 def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> DerivationSpace:
-    inner = []
-    for k in range(g.n):
-        cols = g.ad_cols(1 << k)
-        if any(cols):
-            key = g.cell_key(k)
-            inner.append(LinearMap(tuple(cols), key[0], key[1], key[2]))
-    by_shift: dict[ShiftKey, list[LinearMap]] = {}
+    inner = [LinearMap(tuple(row), *g.cell_key(k)) for k, row in enumerate(g.table()) if any(row)]
+    by_shift: dict[ShiftKey, list[int]] = {}
     for d in maps:
-        by_shift.setdefault((d.degree, d.weight, d.parity), []).append(d)
-    inner_by_shift: dict[ShiftKey, list[LinearMap]] = {}
+        by_shift.setdefault(d.shift, []).append(d.as_vec())
+    inner_by_shift: dict[ShiftKey, list[int]] = {}
     for d in inner:
-        inner_by_shift.setdefault((d.degree, d.weight, d.parity), []).append(d)
+        inner_by_shift.setdefault(d.shift, []).append(d.as_vec())
     outer: dict[ShiftKey, list[LinearMap]] = {}
     for key in sorted(by_shift):
-        sub = [d.as_vec() for d in inner_by_shift.get(key, [])]
-        vecs = [d.as_vec() for d in by_shift[key]]
-        reps = echelon_complement(sub, vecs)
+        reps = echelon_complement(inner_by_shift.get(key, []), by_shift[key])
         if reps:
             outer[key] = [LinearMap.from_vec(r, g.n, *key) for r in reps]
     return DerivationSpace(g, maps, inner, outer, stats)
@@ -278,7 +251,7 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
         for kt, tgt in cells.items():
             c = code(kt) - code(ks) + (kt[2] ^ ks[2])
             if c not in blocks:
-                blocks[c] = ((kt[0] - ks[0], tuple(a - b for a, b in zip(kt[1], ks[1])), kt[2] ^ ks[2]), [])
+                blocks[c] = (cell_shift(ks, kt), [])
             ents = blocks[c][1]
             for s in src:
                 for t in tgt:
@@ -335,9 +308,8 @@ def preserves_nis(D: LinearMap, B: BilinearFormTable, g: StructureConstants) -> 
 
 
 def cohomology_equal(D1: LinearMap, D2: LinearMap, g: StructureConstants) -> bool:
-    """True iff D1 + D2 is an inner derivation."""
-    if (D1.degree, D1.weight, D1.parity) != (D2.degree, D2.weight, D2.parity):
-        raise ValueError("shift mismatch")
+    """True iff D1 + D2 is an inner derivation (ValueError when the shifts
+    differ)."""
     return inner_span(g).contains((D1 ^ D2).as_vec())
 
 

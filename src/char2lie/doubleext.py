@@ -19,7 +19,9 @@ from .liesuper import (
     BasisElement,
     BilinearFormTable,
     StructureConstants,
+    ad_preimage,
     center,
+    compose_cols,
     inner_span,
     odd_squares_span,
     special_center,
@@ -65,7 +67,7 @@ def find_q(a: StructureConstants, B: BilinearFormTable, D: LinearMap) -> tuple |
 
 def find_A(a: StructureConstants, D: LinearMap) -> int | None:
     """Solve ad_A = D∘D for A, then require D(A) = 0."""
-    A = inner_span(a).solve(flatten_cols([D.apply(c) for c in D.cols], a.n))
+    [A] = ad_preimage(a, [flatten_cols(compose_cols(D.cols, D.cols), a.n)])
     if A is None or D.apply(A) != 0:
         return None
     return A
@@ -185,7 +187,7 @@ def build(case: str, a: StructureConstants, B: BilinearFormTable, data: Extensio
     prov = {
         "case": case,
         "graded": graded,
-        "D": (D.degree, D.weight, D.parity),
+        "D": D.shift,
         "q": data.q_diag,
         "A": data.A,
         "m": data.m,

@@ -3,7 +3,9 @@
 Vectors are plain Python ints used as bitmasks (bit i = coordinate i).
 `SpanBasis` keeps their reduced row echelon form and eliminates every
 system, from the small graded blocks to the dense naive derivation
-oracle (`BitMatrix`, its rows handed to one `SpanBasis`); `span_dim` is
+oracle (`BitMatrix`, its rows handed to one `SpanBasis`) and the
+ad-preimage solve (`liesuper.ad_preimage`, its generators marked by bits
+above the n*n map coordinates); `span_dim` is
 the rank-only kernel (forward elimination, no reduced rows) for callers
 that read only a dimension, such as the ad-rank spectra.  Pivoting is
 deterministic (each row's pivot is its lowest set bit), so echelon
@@ -96,41 +98,32 @@ class SpanBasis:
     """Incremental GF(2) span of int-bitmask vectors, kept in reduced
     echelon form (pivot = lowest set bit), rows in ascending pivot order.
 
-    This is the eliminator for every small system: insert the equation
-    rows, then read off `kernel`.  With track=True every stored row
-    remembers which inserted generators express it, so `solve` can
-    return a combination certificate.
+    This is the eliminator for every system: insert the equation rows,
+    then read off `kernel`.
     """
 
-    def __init__(self, track: bool = False):
+    def __init__(self):
         self.pivots: list[int] = []
         self.rows: list[int] = []
-        self.combos: list[int] | None = [] if track else None
-        self.ngen = 0
         self._pivmask = 0
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, v: int, c: int = 0) -> tuple[int, int]:
+    def reduce(self, v: int) -> int:
         # rows are fully reduced: xoring one clears its own pivot bit of v
         # and no other, so the pivots to clear are known up front
         hits = v & self._pivmask
         while hits:
             low = hits & -hits
-            i = bisect_left(self.pivots, low.bit_length() - 1)
-            v ^= self.rows[i]
-            if self.combos is not None:
-                c ^= self.combos[i]
+            v ^= self.rows[bisect_left(self.pivots, low.bit_length() - 1)]
             hits ^= low
-        return v, c
+        return v
 
     def add(self, v: int) -> bool:
         """Insert a generator; returns True when the rank grows."""
-        gen = self.ngen
-        self.ngen += 1
-        v, c = self._reduce(v, 1 << gen)
+        v = self.reduce(v)
         if v == 0:
             return False
         p = (v & -v).bit_length() - 1
@@ -138,13 +131,9 @@ class SpanBasis:
         for i in range(len(self.rows)):
             if (self.rows[i] >> p) & 1:
                 self.rows[i] ^= v
-                if self.combos is not None:
-                    self.combos[i] ^= c
         k = bisect_left(self.pivots, p)
         self.pivots.insert(k, p)
         self.rows.insert(k, v)
-        if self.combos is not None:
-            self.combos.insert(k, c)
         self._pivmask |= 1 << p
         return True
 
@@ -152,18 +141,8 @@ class SpanBasis:
         for v in vs:
             self.add(v)
 
-    def reduce(self, v: int) -> int:
-        return self._reduce(v)[0]
-
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-    def solve(self, v: int) -> int | None:
-        """Combination bitmask over inserted generators with XOR equal to v."""
-        if self.combos is None:
-            raise ValueError("span was not built with track=True")
-        v, c = self._reduce(v)
-        return c if v == 0 else None
 
     def kernel(self, ncols: int) -> list[int]:
         """Basis of {x < 2**ncols : r.x = 0 for every row r}, the rows cut

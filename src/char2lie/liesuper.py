@@ -661,13 +661,26 @@ def quotient(g: StructureConstants, ideal: Subspace) -> StructureConstants:
 
 
 def inner_span(g: StructureConstants) -> SpanBasis:
-    """Span of the inner derivations, flattened by `flatten_cols`.  Tracked
-    generator k is ad(e_k), so a `solve` combination mask is the element
-    y with ad_y equal to the solved map."""
-    span = SpanBasis(track=True)
-    for k in range(g.n):
-        span.add(flatten_cols(g.ad_cols(1 << k), g.n))
+    """Span of the inner derivations ad(e_k), flattened by `flatten_cols`."""
+    span = SpanBasis()
+    span.extend(flatten_cols(row, g.n) for row in g.table())
     return span
+
+
+def ad_preimage(g: StructureConstants, maps) -> list[int | None]:
+    """For each map flattened by `flatten_cols`, an element y with ad_y
+    equal to it, or None when the map is not inner.
+
+    One span holds ad(e_k) with bit n*n + k set to mark e_k; a map
+    reduced to no bit below n*n is inner, and its bits above are y."""
+    nn = g.n * g.n
+    span = SpanBasis()
+    span.extend(flatten_cols(row, g.n) | 1 << (nn + k) for k, row in enumerate(g.table()))
+    out = []
+    for v in maps:
+        r = span.reduce(v)
+        out.append(None if r & ((1 << nn) - 1) else r >> nn)
+    return out
 
 
 def compose_cols(cols_a: list[int], cols_b: list[int]) -> list[int]:
@@ -685,12 +698,12 @@ class RestrictednessReport:
 def restrictedness_check(g: StructureConstants) -> RestrictednessReport:
     """For every even basis element x, decide whether (ad_x)^2 is an inner
     derivation ad_y, and record the witness y."""
-    span = inner_span(g)
+    evens = g.even_indices()
+    tbl = g.table()
+    squares = [flatten_cols(compose_cols(tbl[i], tbl[i]), g.n) for i in evens]
     witnesses = {}
     failures = []
-    for i in g.even_indices():
-        ci = g.ad_cols(1 << i)
-        y = span.solve(flatten_cols(compose_cols(ci, ci), g.n))
+    for i, y in zip(evens, ad_preimage(g, squares)):
         if y is None:
             failures.append(i)
         else:

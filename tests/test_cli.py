@@ -70,6 +70,10 @@ def _huge_basis_count(text):
     return text.replace("basis 14\n", "basis 100000000000000000000\n", 1)
 
 
+def _huge_family(text):
+    return text.replace("family h Pi 0 4\n", "family h Pi 0 400000000\n", 1)
+
+
 def _swapped_bracket(text):
     return text.replace("brackets\n0 2 0\n", "brackets\n2 0 0\n", 1)
 
@@ -87,6 +91,7 @@ def _swapped_form(text):
         _bracket_above_basis,
         _huge_index_bracket,
         _huge_basis_count,
+        _huge_family,
         _swapped_bracket,
         _swapped_form,
     ],
@@ -124,6 +129,29 @@ def test_range_guard(tmp_path):
     assert run_cli(
         "build", "--family", "h", "--form", "Pi", "--even", "0", "--odd", "2", "--out", str(tmp_path), "--override-size"
     ) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--sizes", "0"],
+        ["report", "--sizes", "1"],
+        ["report", "--sizes", "-2"],
+        ["report", "--sizes", "3"],
+        ["report", "--sizes", "4", "3"],
+        ["build", "--family", "le", "--n", "0"],
+        ["build", "--family", "h", "--form", "Pi", "--even", "-1", "--odd", "5"],
+        ["build", "--family", "h", "--form", "PiPi", "--even", "0", "--odd", "4"],
+        ["fingerprint", "--family", "h", "--form", "I", "--even", "0", "--odd", "5"],
+    ],
+    ids=lambda argv: "_".join(argv).replace("--", ""),
+)
+def test_bad_arguments_rejected(tmp_path, capsys, argv):
+    # no such family or a size outside the guard: exit 1 with an error
+    # line, and (report) nothing computed or written
+    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not any(tmp_path.iterdir())
 
 
 def test_usage_error_exit_code():

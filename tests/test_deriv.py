@@ -67,7 +67,8 @@ def test_le22_inventory_db_odd(built):
 def test_inner_subspace_is_contained(built):
     fam, g, B = built("h", "I", 0, 4)
     ds = dv.derivation_space_blocked(g)
-    full = ds.full_span()
+    full = SpanBasis()
+    full.extend(d.as_vec() for d in ds.all)
     for d in ds.inner:
         assert full.contains(d.as_vec())
 
@@ -162,13 +163,12 @@ def test_blocked_stats_recorded(built):
     assert ds.block_stats["max_block"] >= 1
 
 
-def test_graded_blocks_partition(built):
+def test_cells_partition(built):
     fam, g, B = built("h", "Pi", 0, 4)
-    blocks = dv.GradedBlocks.of(g)
-    assert sum(len(v) for v in blocks.cells.values()) == g.n
-    assert blocks.max_cell >= 1
+    cells = g.cells()
+    assert sorted(i for v in cells.values() for i in v) == list(range(g.n))
     for i in range(g.n):
-        assert i in blocks.cells[blocks.cell_of[i]]
+        assert i in cells[g.cell_key(i)]
 
 
 def test_outer_count_0_6_includes_extra_class(built):
@@ -181,5 +181,4 @@ def test_outer_count_0_6_includes_extra_class(built):
     extra = ds.outer_reps[(-2, (0, 0, 0), 0)]
     assert len(extra) == 1
     assert dv.is_derivation(g, extra[0])
-    inner = ds.inner_span()
-    assert not inner.contains(extra[0].as_vec())
+    assert not ls.inner_span(g).contains(extra[0].as_vec())

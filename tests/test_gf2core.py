@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from char2lie.gf2core import (
     SpanBasis,
-    bit_indices,
     echelon_complement,
     solve_affine,
     span_dim,
@@ -141,18 +140,12 @@ def test_rank_nullity():
         assert span_dim(rows) + len(_kernel(rows, c)) == c
 
 
-def test_span_basis_tracking_and_complement():
-    gens = [0b1010, 0b0110, 0b1100]
-    s = SpanBasis(track=True)
-    for g in gens:
-        s.add(g)
+def test_span_basis_and_complement():
+    s = SpanBasis()
+    s.extend([0b1010, 0b0110, 0b1100])
     assert s.dim == 2  # third is the sum of the first two
-    combo = s.solve(0b1100)
-    acc = 0
-    for k in bit_indices(combo):
-        acc ^= gens[k]
-    assert acc == 0b1100
-    assert s.solve(0b0001) is None
+    assert s.contains(0b1100)
+    assert not s.contains(0b0001)
     assert span_equal([0b1010, 0b0110], [0b1010, 0b1100])
     reps = echelon_complement([0b0001], [0b0001, 0b0011, 0b0111])
     assert len(reps) == 2

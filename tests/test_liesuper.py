@@ -1,11 +1,12 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from char2lie import liesuper as ls
-from char2lie.gf2core import SpanBasis, span_dim
+from char2lie.gf2core import SpanBasis, flatten_cols, span_dim
 
 
 def names(g, rows):
@@ -202,6 +203,28 @@ def test_restrictedness_negative_control():
     assert g.verify_axioms().ok
     rep = ls.restrictedness_check(g)
     assert not rep.ok and 0 in rep.failures
+
+
+def test_ad_preimage_with_a_center():
+    # the unit of po hPi(0|4) is central, so ad is not injective there; the
+    # negative control's (ad_e0)^2 is not inner
+    po, _ = ls.poisson_algebra(ls.family("h", "Pi", 0, 4).space())
+    assert not any(po.ad_cols(1 << 0))
+    basis = [ls.BasisElement(f"e{i}", 0, 0, ()) for i in range(3)]
+    control = ls.StructureConstants(basis, [[0, 0b100, 0b010], [0b100, 0, 0], [0b010, 0, 0]], [0, 0, 0])
+    rng = random.Random(5)
+    for g in (po, control):
+        n = g.n
+        maps = [flatten_cols(g.ad_cols(rng.getrandbits(n)), n) for _ in range(20)]
+        maps += [flatten_cols(ls.compose_cols(c, c), n) for c in map(g.ad_cols, (1 << i for i in range(n)))]
+        maps += [rng.getrandbits(n * n) for _ in range(20)]
+        span = ls.inner_span(g)
+        found = ls.ad_preimage(g, maps)
+        assert None in found and any(y is not None for y in found)
+        for v, y in zip(maps, found):
+            assert (y is not None) == span.contains(v)
+            if y is not None:
+                assert flatten_cols(g.ad_cols(y), n) == v
 
 
 def test_ad_examples(built):
