@@ -565,12 +565,12 @@ def cmd_bench(args) -> int:
         "naive_s": t1 - t0,
         "blocked_s": t2 - t1,
         "speedup": (t1 - t0) / max(t2 - t1, 1e-9),
-        "blocks": blocked.block_stats.get("blocks"),
-        "max_block": blocked.block_stats.get("max_block"),
+        **{k: blocked.block_stats[k] for k in ("blocks", "max_block", "rows", "distinct", "rank")},
     }
     print(f"bench {rec['family']} dim {rec['dim']}: naive {rec['naive_s']:.3f}s "
           f"blocked {rec['blocked_s']:.3f}s speedup {rec['speedup']:.1f}x "
-          f"blocks {rec['blocks']} max-block {rec['max_block']}")
+          f"blocks {rec['blocks']} max-block {rec['max_block']} "
+          f"rows {rec['rows']} distinct {rec['distinct']} rank {rec['rank']}")
     return EXIT_OK
 
 

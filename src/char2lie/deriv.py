@@ -1,10 +1,21 @@
 """Derivation spaces of structure-constant algebras over GF(2).
 
-A derivation D satisfies D[ei,ej] = [Dei,ej] + [ei,Dej] for all pairs and
-D(ei^2) = [Dei, ei] for odd ei.  The unknowns are the n^2 matrix entries;
-the equations split into independent blocks indexed by the shift of the
-multigrading (degree, weight, parity), which is what makes large systems
-tractable.
+A derivation D satisfies D[ei,ej] = [Dei,ej] + [ei,Dej] (Der1) for all
+pairs and D(ei^2) = [Dei, ei] (Der2) for odd ei.  The unknowns are the n^2
+matrix entries; the equations split into independent blocks indexed by the
+shift of the multigrading (degree, weight, parity), which is what makes
+large systems tractable.
+
+The blocked solver also drops most Der1 pairs.  For a linear map D, the
+set of x with D[x,y] = [Dx,y] + [x,Dy] for every y is a subspace, and by
+the Jacobi identity it is closed under the bracket.  So Der1 on the pairs
+(s, y), for s in a generating set S (`liesuper.generating_set`) and every
+y, gives Der1 on all pairs.  This needs Jacobi, so Leibniz objects are
+refused.  Der2 stays on every odd basis element: the lemma is about the
+bracket only, and Der1 on all pairs does not fix D on the squares (with
+odd x, even z, x^2 = z and all brackets 0, Der1 leaves Dz free and Der2
+forces Dz = 0).  The naive solver keeps every pair, so comparing the two
+checks the blocking and the lemma together.
 """
 
 from __future__ import annotations
@@ -14,7 +25,7 @@ from dataclasses import dataclass, field
 from . import superfunc as sf
 from .gf2core import (BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, span_equal, transpose,
                       unflatten_cols, xor_rows)
-from .liesuper import BilinearFormTable, FamilySpec, StructureConstants, build_algebra, inner_span
+from .liesuper import BilinearFormTable, FamilySpec, StructureConstants, build_algebra, generating_set, inner_span
 
 ShiftKey = tuple  # (degree shift, weight shift tuple, parity shift)
 
@@ -140,19 +151,26 @@ def _rev_table(g: StructureConstants) -> list[list[int]]:
     return rev
 
 
-def _equations(g: StructureConstants, bit):
+def _equations(g: StructureConstants, bit, gens=None):
     """Every nonzero equation as (i, j, t, row): Der1 of the pair i < j
     and, unless g is graded only, Der2 of odd i (given as j = i), at output
     coordinate t.  bit[s][t] is the mask of the unknown D[t][s], the
-    coefficient of e_t in D e_s."""
+    coefficient of e_t in D e_s.
+
+    With `gens`, the basis indices of a generating set S, Der1 is emitted
+    only on the pairs with i or j in S.  When g satisfies Jacobi these cut
+    out the same space as all pairs: the x with D[x,y] = [Dx,y] + [x,Dy]
+    for every y form a subalgebra, which contains S and so is g.  Der2 is
+    emitted on every odd i, since that lemma does not reach the squares."""
     n = g.n
     rev = _rev_table(g)
     revb = [[bit_indices(m) for m in row] for row in rev]
     # output coordinates that bracketing with e_j can reach
     tmask = [sum(1 << t for t in range(n) if rev[j][t]) for j in range(n)]
+    gmask = -1 if gens is None else sum(1 << s for s in gens)
     for i in range(n):
         bi = bit[i]
-        for j in range(i + 1, n):
+        for j in range(i + 1, n) if gmask >> i & 1 else bit_indices(gmask & (-1 << (i + 1))):
             bj = bit[j]
             prod = bit_indices(g.brk[i][j])
             for t in range(n) if prod else bit_indices(tmask[i] | tmask[j]):
@@ -226,7 +244,11 @@ def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> Deriva
 
 
 def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
-    """Solve one independent system per grading shift."""
+    """Solve one independent system per grading shift, with Der1 only on
+    the pairs of `generating_set(g)` (see the module docstring).  Raises
+    ValueError on a Leibniz object, where that reduction does not hold."""
+    if g.is_leibniz:
+        raise ValueError("the blocked solver needs a Lie object (Jacobi); this one has a Leibniz diagonal")
     n = g.n
 
     def code(k) -> int:
@@ -259,14 +281,17 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
                     ents.append((t, s))
 
     rows: dict[int, set[int]] = {c: set() for c in blocks}
-    for i, j, t, row in _equations(g, bit):
+    emitted = rank = 0
+    for i, j, t, row in _equations(g, bit, generating_set(g)):
         rows[kc[t] - kc[i] - kc[j] + (par[t] ^ par[i] ^ par[j])].add(row)
+        emitted += 1
 
     maps = []
     for c in sorted(blocks, key=lambda c: blocks[c][0]):
         skey, ents = blocks[c]
         span = SpanBasis()
         span.extend(rows[c])
+        rank += span.dim
         for svec in span.kernel(len(ents)):
             cols = [0] * n
             for k in bit_indices(svec):
@@ -274,7 +299,8 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
                 cols[s] |= 1 << t
             maps.append(LinearMap(tuple(cols), *skey))
 
-    stats = {"path": "blocked", "blocks": len(blocks), "max_block": max((len(e) for _, e in blocks.values()), default=0)}
+    stats = {"path": "blocked", "blocks": len(blocks), "max_block": max((len(e) for _, e in blocks.values()), default=0),
+             "rows": emitted, "distinct": sum(map(len, rows.values())), "rank": rank}
     return _finish(g, maps, stats)
 
 

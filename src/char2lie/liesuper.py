@@ -491,6 +491,9 @@ def family(kind: str, form: str = "", a: int = 0, b: int = 0, n: int = 0) -> Fam
         return FamilySpec("le", "buttin", n, n)
     if kind != "h":
         raise ValueError("family kind must be 'h' or 'le'")
+    if a + b < 2:
+        # degrees 1..a+b-1 hold no monomial: the algebra would be 0-dimensional
+        raise ValueError("h families need a+b >= 2")
     sf.hamiltonian_space(form, a, b)  # validates
     return FamilySpec("h", form, a, b)
 
@@ -658,6 +661,29 @@ def quotient(g: StructureConstants, ideal: Subspace) -> StructureConstants:
     if g.graded_only:
         meta["graded"] = True
     return StructureConstants(basis, brk, sq, meta=meta)
+
+
+def generating_set(g: StructureConstants) -> list[int]:
+    """Basis indices of a set S that generates g under the bracket, in the
+    order taken: the basis is walked in order of (|degree|, index), and
+    e_k is taken when it is not in the bracket closure of S so far.
+    Raises ValueError when the closure of S does not span g."""
+    span = SpanBasis()
+    elems: list[int] = []  # brackets as computed (sparse), spanning the closure
+    gens = []
+    for k in sorted(range(g.n), key=lambda k: (abs(g.basis[k].degree), k)):
+        if span.contains(1 << k):
+            continue
+        gens.append(k)
+        todo = [1 << k]
+        while todo:
+            v = todo.pop()
+            if span.add(v):
+                todo.extend(g.bracket_vec(v, w) for w in elems)
+                elems.append(v)
+    if span.dim != g.n:
+        raise ValueError("the bracket closure of the generating set does not span the algebra")
+    return gens
 
 
 def inner_span(g: StructureConstants) -> SpanBasis:

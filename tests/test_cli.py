@@ -143,6 +143,9 @@ def test_range_guard(tmp_path):
         ["build", "--family", "h", "--form", "Pi", "--even", "-1", "--odd", "5"],
         ["build", "--family", "h", "--form", "PiPi", "--even", "0", "--odd", "4"],
         ["fingerprint", "--family", "h", "--form", "I", "--even", "0", "--odd", "5"],
+        ["build", "--family", "h", "--form", "Pi", "--even", "0", "--odd", "1", "--override-size"],
+        ["derivations", "--family", "h", "--form", "Pi", "--even", "0", "--odd", "1", "--override-size"],
+        ["fingerprint", "--family", "h", "--form", "Pi", "--even", "1", "--odd", "0", "--override-size"],
     ],
     ids=lambda argv: "_".join(argv).replace("--", ""),
 )

@@ -161,6 +161,48 @@ def test_blocked_stats_recorded(built):
     assert ds.block_stats["path"] == "blocked"
     assert ds.block_stats["blocks"] > 1
     assert ds.block_stats["max_block"] >= 1
+    # every unknown sits in one block, so the block ranks add up to n^2 - dim
+    st = ds.block_stats
+    assert st["rows"] >= st["distinct"] >= st["rank"] == g.n * g.n - ds.dim
+
+
+def test_dropping_a_generator_is_caught(built, monkeypatch):
+    # a set that does not generate g leaves the lemma without its
+    # hypothesis; the all-pairs naive oracle must reject at least one such
+    # mutant of the blocked solver at hPi(0|5)
+    fam, g, B = built("h", "Pi", 0, 5)
+    naive = dv.derivation_space_naive(g)
+    gens = ls.generating_set(g)
+    caught = []
+    for s in gens:
+        monkeypatch.setattr(dv, "generating_set", lambda h, s=s: [k for k in gens if k != s])
+        if not dv.spaces_equal(naive, dv.derivation_space_blocked(g)):
+            caught.append(s)
+    monkeypatch.undo()
+    assert dv.spaces_equal(naive, dv.derivation_space_blocked(g))
+    assert caught, gens
+
+
+def test_der2_fixes_the_squares():
+    # odd x, even z, x^2 = z, every bracket 0: Der1 on all pairs leaves Dz
+    # free, and Der2 forces Dz = [Dx, x] = 0
+    basis = [ls.BasisElement("x", 1, 1, ()), ls.BasisElement("z", 0, 2, ())]
+    g = ls.StructureConstants(basis, [[0, 0], [0, 0]], [0b10, 0])
+    assert g.verify_axioms().ok and not g.graded_only
+    naive = dv.derivation_space_naive(g)
+    assert dv.spaces_equal(dv.derivation_space_blocked(g), naive)
+    n = g.n
+    bit = [[1 << (s * n + t) for t in range(n)] for s in range(n)]
+    der1 = SpanBasis()
+    der1.extend(row for i, j, _, row in dv._equations(g, bit) if i != j)
+    assert n * n - der1.dim > naive.dim
+
+
+def test_blocked_solver_refuses_leibniz():
+    po, _ = ls.poisson_algebra(ls.family("h", "I", 0, 4).space())
+    assert po.is_leibniz
+    with pytest.raises(ValueError, match="Leibniz"):
+        dv.derivation_space_blocked(po)
 
 
 def test_cells_partition(built):

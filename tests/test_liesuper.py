@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from char2lie import cli
 from char2lie import liesuper as ls
 from char2lie.gf2core import SpanBasis, flatten_cols, span_dim
 
@@ -278,3 +279,25 @@ def test_size8_leibniz_check_scale():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert int(res.stdout) <= 250 * 1024  # ru_maxrss is in KiB on Linux
+
+
+def _right_normed_span(g, gens) -> int:
+    """Dimension of the span of S, [S, S], [S, [S, S]], ...: brackets with
+    the generators only, until the span stops growing."""
+    span = SpanBasis()
+    level = [1 << s for s in gens]
+    while level:
+        level = [v for v in level if span.add(v)]
+        level = [g.bracket_vec(1 << s, v) for s in gens for v in level]
+    return span.dim
+
+
+@pytest.mark.parametrize("total", [4, 5, 6, 7])
+def test_generating_set_spans_and_is_deterministic(total):
+    for fam in cli.standard_families(total):
+        g, _ = ls.build_algebra(fam)
+        gens = ls.generating_set(g)
+        assert gens == ls.generating_set(ls.build_algebra(fam)[0]), fam.name
+        assert gens == sorted(gens, key=lambda k: (abs(g.basis[k].degree), k)), fam.name
+        assert len(set(gens)) == len(gens) < g.n, fam.name
+        assert _right_normed_span(g, gens) == g.n, fam.name
