@@ -308,24 +308,22 @@ class DexRow:
         return "ok" if all(v for _, _, v in self.built) else "fail"
 
 
-def dex_family(fam: ls.FamilySpec, identify: bool = True):
+def dex_family(fam: ls.FamilySpec):
     """Run the full per-family pipeline; returns (analysis, dex rows,
     extensions)."""
     an = analyze_family(fam)
     g, B = an.g, an.B
-    po = None
-    if identify:
-        po, _ = ls.poisson_algebra(fam.space())
+    po, _ = ls.poisson_algebra(fam.space())
     out_rows: list[DexRow] = []
     extensions = []
     top_deg = max((r.degree for r in an.rows), default=0)
     for r in an.rows:
         D = r.reps[0]
         preserves = r.bilinear
-        case = dx.case_of(g, B, D) if not g.graded_only else "graded"
+        case = "graded" if g.graded_only else dx.case_of(B, D)
         data_kind = {"Dev_Beven": "q", "Dodd_Beven": "A", "Dev_Bodd": "-", "Dodd_Bodd": "q,A,m"}.get(case, "-")
         row = DexRow(r.label, r.degree, r.parity, r.count, preserves, case, data_kind)
-        ms = (0, 1) if (case == "Dodd_Bodd" and not g.graded_only) else (0,)
+        ms = (0, 1) if case == "Dodd_Bodd" else (0,)
         if preserves:
             for m in ms:
                 data = dx.prepare(g, B, D, m=m)
@@ -333,7 +331,7 @@ def dex_family(fam: ls.FamilySpec, identify: bool = True):
                     row.preserves = False
                     row.notes = "data missing"
                     break
-                ext = dx.build(case if not g.graded_only else dx.case_of(g, B, D), g, B, data)
+                ext = dx.build(g, B, data)
                 ax = ext.alg.verify_axioms()
                 fm = ext.alg.verify_form(ext.form)
                 # s(D) = mc with B(c, D) = 1 inevitably breaks the
@@ -345,7 +343,7 @@ def dex_family(fam: ls.FamilySpec, identify: bool = True):
                 name = f"{family_slug(fam)}__{r.label}" + (f"__m{m}" if len(ms) > 1 else "")
                 row.built.append((name, ext, verdict))
                 extensions.append((name, ext))
-                if identify and r.degree == top_deg and r.degree > 0 and m == 0:
+                if r.degree == top_deg and r.degree > 0 and m == 0:
                     wit = dx.identify_canonical(ext, po)
                     row.identified = ("po" if fam.kind == "h" else "b") if wit is not None else "no-witness"
         out_rows.append(row)
@@ -400,8 +398,11 @@ def render_dex_table(fam: ls.FamilySpec, an: FamilyAnalysis, rows: list) -> str:
     return "\n".join(out) + "\n"
 
 
+DEX_CSV_HEADER = "family,row,degree,parity,count,case,data,preserves,built,verified,identified,m_variants"
+
+
 def render_dex_csv(fam: ls.FamilySpec, rows: list) -> str:
-    out = ["family,row,degree,parity,count,case,data,preserves,built,verified,identified,m_variants"]
+    out = [DEX_CSV_HEADER]
     for r in rows:
         out.append(
             ",".join(
@@ -587,7 +588,7 @@ def cmd_report(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     chunks = []
-    csvs = ["family,row,degree,parity,count,case,data,preserves,built,verified,identified,m_variants"]
+    csvs = [DEX_CSV_HEADER]
     status = EXIT_OK
     for fam in fams:
         an, rows, exts = dex_family(fam)

@@ -10,9 +10,10 @@ no auxiliary data, bilinear invariance only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .deriv import LinearMap, bilinear_invariant
-from .gf2core import SpanBasis, bit_indices, flatten_cols, solve_affine, transpose, xor_rows
+from .gf2core import SpanBasis, bit_indices, flatten_cols, solve_affine, span_dim, transpose, xor_rows
 from .liesuper import (
     EVEN,
     ODD,
@@ -26,9 +27,6 @@ from .liesuper import (
     odd_squares_span,
     special_center,
 )
-
-CASES = ("Dev_Beven", "Dodd_Beven", "Dev_Bodd", "Dodd_Bodd")
-
 
 @dataclass
 class ExtensionData:
@@ -73,7 +71,7 @@ def find_A(a: StructureConstants, D: LinearMap) -> int | None:
     return A
 
 
-def case_of(a: StructureConstants, B: BilinearFormTable, D: LinearMap) -> str:
+def case_of(B: BilinearFormTable, D: LinearMap) -> str:
     return f"D{'odd' if D.parity else 'ev'}_B{'odd' if B.parity else 'even'}"
 
 
@@ -91,92 +89,58 @@ def prepare(a: StructureConstants, B: BilinearFormTable, D: LinearMap, m: int = 
     if a.graded_only:
         return ExtensionData(D=D, BDD=BDD)
     data = ExtensionData(D=D, m=m, BDD=BDD)
-    if D.parity == EVEN and B.parity == EVEN:
+    if D.parity == B.parity:
         data.q_diag = find_q(a, B, D)
         if data.q_diag is None:
             return None
-    elif D.parity == ODD and B.parity == EVEN:
+    if D.parity == ODD:
         data.A = find_A(a, D)
         if data.A is None:
-            return None
-    elif D.parity == EVEN and B.parity == ODD:
-        pass
-    else:
-        data.q_diag = find_q(a, B, D)
-        data.A = find_A(a, D)
-        if data.q_diag is None or data.A is None:
             return None
     return data
 
 
-def build(case: str, a: StructureConstants, B: BilinearFormTable, data: ExtensionData) -> ExtendedAlgebra:
+def build(a: StructureConstants, B: BilinearFormTable, data: ExtensionData) -> ExtendedAlgebra:
     """The double extension on basis {c} + basis(a) + {D} with bracket
-    [x,y] + B(Dx,y)c, [D,x] = D(x), central c, and the extended form."""
-    if case not in CASES:
-        raise ValueError(f"unknown case {case!r}")
+    [x,y] + B(Dx,y)c, [D,x] = D(x), central c, and the extended form; its
+    parity case is `case_of(B, D)`."""
     D = data.D
-    graded = a.graded_only
-    if not graded and case != case_of(a, B, D):
-        raise ValueError(f"case {case} does not match parities of D and B")
     if not bilinear_invariant(D, B):
         raise ValueError("D does not preserve the bilinear form")
-    n = a.n
-    pc = B.parity ^ D.parity
     if data.BDD and (D.parity or B.parity):
         raise ValueError("B(D,D) must vanish unless both D and B are even")
-    leibniz = a.is_leibniz or any(B.pairing(D.cols[i], 1 << i) for i in range(n))
+    case = case_of(B, D)
+    graded = a.graded_only
+    n = a.n
+    N = n + 2
 
     # degrees/weights: B pairs complementary degrees summing to mu
     mu_deg, mu_wt = _pairing_grade(a, B)
-    c_elt = BasisElement("c", pc, mu_deg - D.degree, tuple(x - y for x, y in zip(mu_wt, D.weight)))
+    c_elt = BasisElement("c", B.parity ^ D.parity, mu_deg - D.degree, tuple(x - y for x, y in zip(mu_wt, D.weight)))
     d_elt = BasisElement("D", D.parity, D.degree, D.weight)
     basis = [c_elt] + [BasisElement(b.name, b.parity, b.degree, b.weight) for b in a.basis] + [d_elt]
 
-    N = n + 2
     brk = [[0] * N for _ in range(N)]
     for i in range(n):
         left = B.left(D.cols[i])  # bit j: B(D e_i, e_j), the c-component of [e_i, e_j]
         for j in range(n):
             if i != j:
                 brk[i + 1][j + 1] = (a.brk[i][j] << 1) | ((left >> j) & 1)
-    for i in range(n):
-        vec = D.cols[i] << 1
-        brk[N - 1][i + 1] = vec
-        brk[i + 1][N - 1] = vec
+        brk[N - 1][i + 1] = brk[i + 1][N - 1] = D.cols[i] << 1
     # Leibniz diagonal: a nonzero B(D e_i, e_i) has no place in a Lie
     # bracket and is carried as the diagonal [e_i, e_i] = c (the po_I
     # phenomenon); present only on odd elements after the even-diagonal
     # gate, or on any element for desuperized input
-    diag = [0] * N
     a_diag = a.diag
-    for i in range(n):
-        d = a_diag[i] << 1
-        if B.pairing(D.cols[i], 1 << i):
-            d |= 1
-        diag[i + 1] = d
+    diag = [0] + [(a_diag[i] << 1) | B.pairing(D.cols[i], 1 << i) for i in range(n)] + [0]
     sq = [0] * N
     if not graded:
-        for i in range(n):
-            if a.parity(i) == ODD:
-                s = a.sq[i] << 1
-                if data.q_diag is not None:
-                    oi = a.odd_indices().index(i)
-                    if data.q_diag[oi]:
-                        s |= 1
-                sq[i + 1] = s
+        for oi, i in enumerate(a.odd_indices()):
+            sq[i + 1] = (a.sq[i] << 1) | (data.q_diag[oi] if data.q_diag is not None else 0)
         if D.parity == ODD:
-            s = (data.A or 0) << 1
-            if data.m:
-                s |= 1
-            sq[N - 1] = s
+            sq[N - 1] = ((data.A or 0) << 1) | (1 if data.m else 0)
         # c odd (Dev_Bodd case): s(c) = 0 already
-    gram = [0] * N
-    for i in range(n):
-        gram[i + 1] = B.gram[i] << 1
-    gram[0] |= 1 << (N - 1)
-    gram[N - 1] |= 1
-    if data.BDD:
-        gram[N - 1] |= 1 << (N - 1)
+    gram = [1 << (N - 1)] + [row << 1 for row in B.gram] + [1 | ((1 << (N - 1)) if data.BDD else 0)]
     meta = {"extension_of": a.meta.get("family"), "case": case}
     if graded:
         meta["graded"] = True
@@ -192,7 +156,7 @@ def build(case: str, a: StructureConstants, B: BilinearFormTable, data: Extensio
         "A": data.A,
         "m": data.m,
         "BDD": data.BDD,
-        "leibniz_diagonal": leibniz,
+        "leibniz_diagonal": alg.is_leibniz,
     }
     return ExtendedAlgebra(alg, form, prov)
 
@@ -229,7 +193,11 @@ def recognition(g: StructureConstants, B: BilinearFormTable) -> RecognitionRepor
     """Evaluate the hypotheses of the four recognition propositions:
     Rec1 (even special center), Rec2 (odd center meets the cone), Rec3
     (odd form, even center), Rec4 (odd form, central odd squares in the
-    squares' orthogonal complement)."""
+    squares' orthogonal complement).
+
+    Rec4 cannot hold when B passes `verify_form`: for a central odd x,
+    square invariance gives B(s(x), y) = B(x, [x, y]) = 0 for every y, so
+    s(x) = 0 by nondegeneracy."""
     if not B.is_nondegenerate():
         raise ValueError("form is degenerate")
     z = center(g)
@@ -298,33 +266,24 @@ class IsoWitness:
     columns: tuple[int, ...]  # images of ext basis vectors in the target
 
     def apply(self, x: int) -> int:
-        out = 0
-        for i in bit_indices(x):
-            out ^= self.columns[i]
-        return out
+        return xor_rows(self.columns, x)
 
 
 def _verify_witness(ext: ExtendedAlgebra, target: StructureConstants, cols: list[int]) -> bool:
-    n = ext.n
-    span = SpanBasis()
-    for c in cols:
-        span.add(c)
-    if span.dim != n or target.n != n:
-        return False
-    w = IsoWitness(tuple(cols))
     g = ext.alg
+    n = g.n
+    if span_dim(cols) != n:
+        return False
     gd = g.diag
     for i in range(n):
         for j in range(i + 1, n):
-            if w.apply(g.brk[i][j]) != target.bracket_vec(cols[i], cols[j]):
+            if xor_rows(cols, g.brk[i][j]) != target.bracket_vec(cols[i], cols[j]):
                 return False
-        if w.apply(gd[i]) != target.bracket_vec(cols[i], cols[i]):
+        if xor_rows(cols, gd[i]) != target.bracket_vec(cols[i], cols[i]):
             return False
-    if not (g.graded_only or target.graded_only):
-        for i in g.odd_indices():
-            if w.apply(g.sq[i]) != target.sq_vec(cols[i]):
-                return False
-    return True
+    if g.graded_only or target.graded_only:
+        return True
+    return all(xor_rows(cols, g.sq[i]) == target.sq_vec(cols[i]) for i in g.odd_indices())
 
 
 def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoWitness | None:
@@ -335,137 +294,72 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
     if target.n != n:
         raise ValueError("dimension mismatch")
     masks = target.meta.get("masks")
-    if masks is None:
+    if masks is None or g.meta.get("extension_of") is None:
         return None
     space = target.meta.get("space")
-    full = space.full_mask
     t_index = {m: i for i, m in enumerate(masks)}
     one = t_index.get(0)
-    top = t_index.get(full)
+    top = t_index.get(space.full_mask)
     if one is None or top is None:
         return None
-    # a-part basis must be monomials of the target
-    a_fam = g.meta.get("extension_of")
-    if a_fam is None:
+    # iota: the a-part of ext maps, in order, onto the target's monomials
+    # strictly between 1 and top
+    iota = [i for i, m in enumerate(masks) if 0 < m.bit_count() < space.nvars]
+    if len(iota) != n - 2:
         return None
-    amask = [m for m in masks if 0 < m.bit_count() < space.nvars]
-    if len(amask) != n - 2:
-        return None
-    iota = [t_index[m] for m in amask]  # ext a-index k -> target index
-
     pc = g.parity(0)
     pd = g.parity(n - 1)
     if target.basis[one].parity != pc or target.basis[top].parity != pd:
         return None
 
-    # unknowns: beta_k (k in a, parity pc), y_k (parity pd), nu (if pc == pd)
-    na = n - 2
-    beta_idx = [k for k in range(na) if g.parity(k + 1) == pc]
-    y_idx = [k for k in range(na) if g.parity(k + 1) == pd]
-    nu_ok = pc == pd
-    nun = len(beta_idx) + len(y_idx) + (1 if nu_ok else 0)
+    # phi0 (c -> 1, e_k -> iota(e_k), D -> top) and the unknowns, in order:
+    # beta_k on the a-elements of parity pc, y_k on those of parity pd (ys
+    # holds the target vector each adds to phi(D)), nu (phi(D) += 1) when
+    # pc == pd
+    unit = 1 << one
+    cols0 = [unit] + [1 << t for t in iota] + [1 << top]
+    a_idx = range(1, n - 1)
+    beta = [0] * n
+    nb = 0
+    for k in a_idx:
+        if g.parity(k) == pc:
+            beta[k] = 1 << nb
+            nb += 1
+    ys = [cols0[k] for k in a_idx if g.parity(k) == pd]
+    nun = nb + len(ys) + (pc == pd)
 
-    def unk_beta(k):
-        return beta_idx.index(k)
-
-    def unk_y(k):
-        return len(beta_idx) + y_idx.index(k)
-
-    rows = []  # (coeff bitmask over unknowns, rhs bit) as (int, int)
-
-    # E1: pairs of a
-    for k in range(na):
-        for l in range(k + 1, na):
-            v = g.brk[k + 1][l + 1]
-            omega = v & 1
-            va = v >> 1
-            tv = 0
-            for i in bit_indices(va):
-                tv |= 1 << iota[i]
-            rhs_vec = target.bracket_vec(1 << iota[k], 1 << iota[l])
-            diff = tv ^ rhs_vec
-            # diff must be kappa * e_one
-            if diff & ~(1 << one):
-                return None
-            kappa = (diff >> one) & 1
-            # beta([ek,el]_a) = kappa + omega
-            coeff = 0
-            for i in bit_indices(va):
-                if g.parity(i + 1) == pc:
-                    coeff |= 1 << unk_beta(i)
-            rows.append((coeff, kappa ^ omega))
-
-    # E2: [D, ek]
-    for k in range(na):
-        dv = g.brk[n - 1][k + 1]
-        dva = dv >> 1
-        lhs_fixed = 0
-        for i in bit_indices(dva):
-            lhs_fixed |= 1 << iota[i]
-        # beta(D ek) coefficient on e_one
-        beta_coeff = 0
-        for i in bit_indices(dva):
-            if g.parity(i + 1) == pc:
-                beta_coeff |= 1 << unk_beta(i)
-        rhs_fixed = target.bracket_vec(1 << top, 1 << iota[k])
-        # y-part: sum y_j [e_j, e_k]_T, one row per target coordinate t
-        coeffs = [0] * n
-        coeffs[one] = beta_coeff
-        for j in y_idx:
-            for t in bit_indices(target.bracket_vec(1 << iota[j], 1 << iota[k])):
-                coeffs[t] |= 1 << unk_y(j)
-        for t, coeff in enumerate(coeffs):
-            rows.append((coeff, ((lhs_fixed ^ rhs_fixed) >> t) & 1))
-
-    # E3: squarings of odd a-elements (super mode only)
+    # an a-relation (ext value v, target value tv) holds up to the unit,
+    # which beta(v) must cancel: the a-brackets, and the odd squares in
+    # super mode
+    relations = ((g.brk[k][l], target.bracket_vec(cols0[k], cols0[l])) for k in a_idx for l in range(k + 1, n - 1))
     if not (g.graded_only or target.graded_only):
-        for k in range(na):
-            if g.parity(k + 1) != ODD:
-                continue
-            sv = g.sq[k + 1]
-            qbit = sv & 1
-            sva = sv >> 1
-            tv = 0
-            for i in bit_indices(sva):
-                tv |= 1 << iota[i]
-            rhs_vec = target.sq_vec(1 << iota[k])
-            diff = tv ^ rhs_vec
-            if diff & ~(1 << one):
-                return None
-            kappa = (diff >> one) & 1
-            coeff = 0
-            for i in bit_indices(sva):
-                if g.parity(i + 1) == pc:
-                    coeff |= 1 << unk_beta(i)
-            rows.append((coeff, kappa ^ qbit))
+        relations = chain(relations, ((g.sq[k], target.sq_vec(cols0[k])) for k in a_idx if g.parity(k) == ODD))
+    rows = []  # (coefficient mask over the unknowns, rhs bit)
+    for v, tv in relations:
+        diff = xor_rows(cols0, v) ^ tv
+        if diff & ~unit:
+            return None
+        rows.append((xor_rows(beta, v), (diff >> one) & 1))
+    # [D, e_k]: phi0(D e_k) + beta(D e_k)*1 = [top, e_k] + sum_j y_j [ys_j, e_k],
+    # one row per target coordinate
+    for k in a_idx:
+        v = g.brk[n - 1][k]
+        diff = xor_rows(cols0, v) ^ target.bracket_vec(cols0[-1], cols0[k])
+        coeffs = [c << nb for c in transpose([target.bracket_vec(y, cols0[k]) for y in ys], n)]
+        coeffs[one] |= xor_rows(beta, v)
+        rows.extend((c, (diff >> t) & 1) for t, c in enumerate(coeffs))
 
-    # solve the linear system over GF(2)
     solved = solve_affine(rows, nun)
     if solved is None:
         return None
     base, kernel = solved
-
     # enumerate the whole affine solution set to satisfy the quadratic
     # conditions (squaring of D, and full verification); the kernel is at
     # most 1-dimensional for every standard family at sizes 4-6
     for mask in range(1 << len(kernel)):
-        s = base
-        for i in bit_indices(mask):
-            s ^= kernel[i]
-        cols = [0] * n
-        cols[0] = 1 << one
-        for k in range(na):
-            c = 1 << iota[k]
-            if g.parity(k + 1) == pc and (s >> unk_beta(k)) & 1:
-                c ^= 1 << one
-            cols[k + 1] = c
-        dcol = 1 << top
-        for j in y_idx:
-            if (s >> unk_y(j)) & 1:
-                dcol ^= 1 << iota[j]
-        if nu_ok and (s >> (nun - 1)) & 1:
-            dcol ^= 1 << one
-        cols[n - 1] = dcol
+        s = base ^ xor_rows(kernel, mask)
+        cols = [c ^ (unit if s & b else 0) for c, b in zip(cols0, beta)]
+        cols[-1] ^= xor_rows(ys + [unit], s >> nb)
         if _verify_witness(ext, target, cols):
             return IsoWitness(tuple(cols))
     return None

@@ -20,10 +20,6 @@ Poly = frozenset  # frozenset[int]: set of monomial masks
 ZERO: Poly = frozenset()
 ONE: Poly = frozenset({0})
 
-ROLE_PARITY = {"xi": ODD, "eta": ODD, "theta": ODD, "pi": ODD, "q": EVEN, "p": EVEN, "z": EVEN}
-ROLE_WEIGHT = {"xi": 1, "pi": 1, "p": 1, "eta": -1, "q": -1, "theta": 0, "z": 0}
-
-
 @dataclass(frozen=True)
 class VarSpec:
     name: str
@@ -110,10 +106,6 @@ def poly(*masks: int) -> Poly:
     for m in masks:
         s.symmetric_difference_update({m})
     return frozenset(s)
-
-
-def add(f: Poly, g: Poly) -> Poly:
-    return f ^ g
 
 
 def mul(space: Space, f: Poly, g: Poly) -> Poly:

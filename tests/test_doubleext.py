@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -54,7 +55,7 @@ def test_find_A_h_0_5_top(built):
 def test_build_po_identification(built):
     fam, g, B, gens = gens_of(built, "h", "Pi", 0, 4)
     data = dx.prepare(g, B, gens["Dtop"])
-    ext = dx.build("Dev_Beven", g, B, data)
+    ext = dx.build(g, B, data)
     assert ext.n == 16
     assert ext.alg.verify_axioms().ok
     assert ext.alg.verify_form(ext.form).ok
@@ -68,7 +69,7 @@ def test_build_le_top_is_buttin(built):
     fam, g, B, gens = gens_of(built, "le", "", 0, 0, 2)
     D = gens["Dtop"]
     data = dx.prepare(g, B, D)
-    ext = dx.build(dx.case_of(g, B, D), g, B, data)
+    ext = dx.build(g, B, data)
     bb, _ = ls.poisson_algebra(fam.space())
     assert dx.identify_canonical(ext, bb) is not None
 
@@ -76,7 +77,7 @@ def test_build_le_top_is_buttin(built):
 def test_twisted_extension_no_witness(built):
     fam, g, B, gens = gens_of(built, "h", "Pi", 0, 4)
     D = gens["Db[xi1]"]
-    ext = dx.build(dx.case_of(g, B, D), g, B, dx.prepare(g, B, D))
+    ext = dx.build(g, B, dx.prepare(g, B, D))
     po, _ = ls.poisson_algebra(fam.space())
     assert dx.identify_canonical(ext, po) is None
 
@@ -84,19 +85,15 @@ def test_twisted_extension_no_witness(built):
 def test_case_table_and_parity_guard(built):
     fam, g, B, gens = gens_of(built, "h", "Pi", 0, 4)
     D = gens["Dtop"]
-    assert dx.case_of(g, B, D) == "Dev_Beven"
-    with pytest.raises(ValueError):
-        dx.build("Dodd_Beven", g, B, dx.prepare(g, B, D))
-    with pytest.raises(ValueError):
-        dx.build("nonsense", g, B, dx.prepare(g, B, D))
+    assert dx.case_of(B, D) == "Dev_Beven"
 
 
 def test_m_family_h05(built):
     fam, g, B, gens = gens_of(built, "h", "Pi", 0, 5)
     D = gens["Dtop"]
-    assert dx.case_of(g, B, D) == "Dodd_Bodd"
-    e0 = dx.build("Dodd_Bodd", g, B, dx.prepare(g, B, D, m=0))
-    e1 = dx.build("Dodd_Bodd", g, B, dx.prepare(g, B, D, m=1))
+    assert dx.case_of(B, D) == "Dodd_Bodd"
+    e0 = dx.build(g, B, dx.prepare(g, B, D, m=0))
+    e1 = dx.build(g, B, dx.prepare(g, B, D, m=1))
     assert e0.alg.brk == e1.alg.brk
     didx = e0.alg.n - 1
     diff = [i for i in range(e0.alg.n) if e0.alg.sq[i] != e1.alg.sq[i]]
@@ -109,13 +106,13 @@ def test_bdd_parameter(built):
     fam, g, B, gens = gens_of(built, "h", "Pi", 0, 4)
     D = gens["Dtop"]
     data = dx.prepare(g, B, D, BDD=1)
-    ext = dx.build("Dev_Beven", g, B, data)
+    ext = dx.build(g, B, data)
     assert ext.form.pairing(1 << (ext.n - 1), 1 << (ext.n - 1)) == 1
     assert ext.alg.verify_form(ext.form).ok
     # BDD forbidden when D is odd
     fam5, g5, B5, gens5 = gens_of(built, "h", "Pi", 0, 5)
     with pytest.raises(ValueError):
-        dx.build("Dodd_Bodd", g5, B5, dx.prepare(g5, B5, gens5["Dtop"], BDD=1))
+        dx.build(g5, B5, dx.prepare(g5, B5, gens5["Dtop"], BDD=1))
 
 
 def test_every_extension_dim_and_central(built):
@@ -125,7 +122,7 @@ def test_every_extension_dim_and_central(built):
             data = dx.prepare(g, B, D)
             if data is None:
                 continue
-            ext = dx.build(dx.case_of(g, B, D), g, B, data)
+            ext = dx.build(g, B, data)
             assert ext.n == g.n + 2, (fam.name, label)
             assert ext.alg.parity(0) == (B.parity ^ D.parity), (fam.name, label)
             # c is central and orthogonal to the commutant
@@ -164,7 +161,7 @@ def test_recognition_on_built_extensions(built):
     fam, g, B, gens = gens_of(built, "h", "Pi", 0, 4)
     for label, zdim in (("Dtop", 1), ("Db[xi1]", 1), ("Deuler", 2)):
         D = gens[label]
-        ext = dx.build(dx.case_of(g, B, D), g, B, dx.prepare(g, B, D))
+        ext = dx.build(g, B, dx.prepare(g, B, D))
         rep = dx.recognition(ext.alg, ext.form)
         assert rep.rec1, label
         # the Euler-type extension (the gl-type algebra) picks up a second
@@ -174,7 +171,7 @@ def test_recognition_on_built_extensions(built):
     # the cone (the second route)
     lef, gle, Ble, lgens = gens_of(built, "le", "", 0, 0, 2)
     D = lgens["Db[q1]"]
-    ext = dx.build(dx.case_of(gle, Ble, D), gle, Ble, dx.prepare(gle, Ble, D))
+    ext = dx.build(gle, Ble, dx.prepare(gle, Ble, D))
     rep = dx.recognition(ext.alg, ext.form)
     assert rep.center_odd == 1 and rep.rec2
 
@@ -222,15 +219,23 @@ def _abelian_objects(count: int, seed: int):
         yield f"abelian #{k}", g, ls.BilinearFormTable(tuple(gram), rng.randint(0, 1))
 
 
-def test_recognition_matches_subset_enumeration(built):
+@functools.cache
+def _standard_objects():
+    """The standard families of sizes 4-6 and their Poisson algebras, as
+    (name, algebra, form)."""
     objects = []
     for total in (4, 5, 6):
         for fam in cli.standard_families(total):
             objects.append((fam.name,) + ls.build_algebra(fam))
             objects.append((f"po {fam.name}",) + ls.poisson_algebra(fam.space()))
+    return tuple(objects)
+
+
+def test_recognition_matches_subset_enumeration(built):
+    objects = list(_standard_objects())
     lef, gle, Ble, lgens = gens_of(built, "le", "", 0, 0, 2)
     D = lgens["Db[q1]"]
-    ext = dx.build(dx.case_of(gle, Ble, D), gle, Ble, dx.prepare(gle, Ble, D))
+    ext = dx.build(gle, Ble, dx.prepare(gle, Ble, D))
     objects.append(("le(2|2) Db[q1]", ext.alg, ext.form))
     objects.extend(_abelian_objects(60, seed=3))
     verdicts = set()
@@ -253,12 +258,30 @@ def test_recognition_matches_subset_enumeration(built):
     assert any(rec2 and not rec4 and nonzero for rec2, rec4, nonzero in verdicts)
 
 
+def test_rec4_never_holds_on_an_invariant_form():
+    # for central odd x, square invariance gives B(s(x), y) = B(x, [x, y])
+    # = 0 for every y, so s(x) = 0 and the rec4 cone holds no nonzero square
+    objects = list(_standard_objects())
+    for total in (4, 5):
+        for fam in cli.standard_families(total):
+            g, B = ls.build_algebra(fam)
+            for label, D in dv.closed_form_generators(fam, g):
+                data = dx.prepare(g, B, D)
+                if data is not None:
+                    ext = dx.build(g, B, data)
+                    objects.append((f"{fam.name} {label}", ext.alg, ext.form))
+    assert len(objects) == 161
+    for name, g, B in objects:
+        assert g.verify_form(B).ok, name
+        assert not dx.recognition(g, B).rec4, name
+
+
 def test_leibniz_extension_rows(built):
     # theta-containing top extensions carry the Leibniz diagonal and are
     # verified against the left Leibniz identity
     fam, g, B, gens = gens_of(built, "h", "I", 0, 4)
     D = gens["Dtop"]
-    ext = dx.build(dx.case_of(g, B, D), g, B, dx.prepare(g, B, D))
+    ext = dx.build(g, B, dx.prepare(g, B, D))
     assert ext.alg.is_leibniz
     assert ext.provenance["leibniz_diagonal"]
     assert ext.alg.verify_axioms().ok

@@ -12,7 +12,7 @@ def build_ext(built, args, label, m=0):
     fam, g, B = built(*args)
     gens = dict(dv.closed_form_generators(fam, g))
     D = gens[label]
-    return dx.build(dx.case_of(g, B, D), g, B, dx.prepare(g, B, D, m=m))
+    return dx.build(g, B, dx.prepare(g, B, D, m=m))
 
 
 def test_super_rank_zero(built):

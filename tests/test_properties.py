@@ -12,7 +12,7 @@ from char2lie import doubleext as dx
 from char2lie import invariants as inv
 from char2lie import liesuper as ls
 from char2lie import superfunc as sf
-from char2lie.gf2core import SpanBasis, span_dim
+from char2lie.gf2core import SpanBasis, solve_affine, span_dim
 
 
 def test_solver_solutions_satisfy_derivation_identities(built):
@@ -66,7 +66,7 @@ def test_central_element_orthogonal_to_commutant(built):
         fam, g, B = built(*args)
         gens = dict(dv.closed_form_generators(fam, g))
         D = gens[label]
-        ext = dx.build(dx.case_of(g, B, D), g, B, dx.prepare(g, B, D))
+        ext = dx.build(g, B, dx.prepare(g, B, D))
         galg, form = ext.alg, ext.form
         c = 1  # index 0
         for i in range(galg.n):
@@ -111,7 +111,7 @@ def test_blocked_solver_block_count_matches_grading(built):
 def test_identify_witness_is_bijective_and_checks(built):
     fam, g, B = built("h", "Pi", 0, 4)
     gens = dict(dv.closed_form_generators(fam, g))
-    ext = dx.build("Dev_Beven", g, B, dx.prepare(g, B, gens["Dtop"]))
+    ext = dx.build(g, B, dx.prepare(g, B, gens["Dtop"]))
     po, _ = ls.poisson_algebra(fam.space())
     w = dx.identify_canonical(ext, po)
     cols = list(w.columns)
@@ -261,7 +261,7 @@ def _verification_bases():
         fam = ls.family(*args)
         g, B = ls.build_algebra(fam)
         D = dict(dv.closed_form_generators(fam, g))["Dtop"]
-        ext = dx.build(dx.case_of(g, B, D), g, B, dx.prepare(g, B, D, m=m))
+        ext = dx.build(g, B, dx.prepare(g, B, D, m=m))
         out.append((ext.alg, ext.form))
     return tuple(out)
 
@@ -465,3 +465,152 @@ def _poly_pairs(draw):
 def test_bracket_matches_derivative_formula(pair):
     space, f, g = pair
     assert sf.bracket(space, f, g) == _ref_poly_bracket(space, f, g)
+
+
+# -- differential check of identify_canonical --------------------------------
+# The reference is the E1/E2/E3 formulation the library used before it built
+# one row per a-relation from the phi0 columns: separate loops for the
+# a-brackets (E1), the [D, e_k] coordinates (E2) and the odd squares (E3),
+# each unknown looked up by list.index, and the witness checked by its own
+# loops.  The two must give the same witness columns, or None, on every
+# attempt: the unknowns' order fixes the first witness the enumeration finds.
+
+
+def _ref_witness_ok(ext, target, cols):
+    g, n = ext.alg, ext.n
+    span = SpanBasis()
+    span.extend(cols)
+    if span.dim != n:
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            if _ref_apply(cols, g.brk[i][j]) != target.bracket_vec(cols[i], cols[j]):
+                return False
+        if _ref_apply(cols, g.diag[i]) != target.bracket_vec(cols[i], cols[i]):
+            return False
+    if not (g.graded_only or target.graded_only):
+        for i in g.odd_indices():
+            if _ref_apply(cols, g.sq[i]) != target.sq_vec(cols[i]):
+                return False
+    return True
+
+
+def _ref_identify(ext, target):
+    g, n = ext.alg, ext.n
+    masks = target.meta["masks"]
+    space = target.meta["space"]
+    t_index = {m: i for i, m in enumerate(masks)}
+    one, top = t_index.get(0), t_index.get(space.full_mask)
+    if one is None or top is None or g.meta.get("extension_of") is None:
+        return None
+    iota = [t_index[m] for m in masks if 0 < m.bit_count() < space.nvars]
+    if len(iota) != n - 2:
+        return None
+    pc, pd = g.parity(0), g.parity(n - 1)
+    if target.basis[one].parity != pc or target.basis[top].parity != pd:
+        return None
+    na = n - 2
+    beta_idx = [k for k in range(na) if g.parity(k + 1) == pc]
+    y_idx = [k for k in range(na) if g.parity(k + 1) == pd]
+    nun = len(beta_idx) + len(y_idx) + (pc == pd)
+
+    def image(va):
+        return sum(1 << iota[i] for i in _ref_bits(va))
+
+    def beta_coeff(va):
+        return sum(1 << beta_idx.index(i) for i in _ref_bits(va) if g.parity(i + 1) == pc)
+
+    rows = []
+    # E1: pairs of a
+    for k in range(na):
+        for l in range(k + 1, na):
+            v = g.brk[k + 1][l + 1]
+            diff = image(v >> 1) ^ target.bracket_vec(1 << iota[k], 1 << iota[l])
+            if diff & ~(1 << one):
+                return None
+            rows.append((beta_coeff(v >> 1), ((diff >> one) & 1) ^ (v & 1)))
+    # E2: [D, e_k], one row per target coordinate
+    for k in range(na):
+        dva = g.brk[n - 1][k + 1] >> 1
+        fixed = image(dva) ^ target.bracket_vec(1 << top, 1 << iota[k])
+        coeffs = [0] * n
+        coeffs[one] = beta_coeff(dva)
+        for j in y_idx:
+            for t in _ref_bits(target.bracket_vec(1 << iota[j], 1 << iota[k])):
+                coeffs[t] |= 1 << (len(beta_idx) + y_idx.index(j))
+        rows.extend((coeff, (fixed >> t) & 1) for t, coeff in enumerate(coeffs))
+    # E3: squares of odd a-elements
+    if not (g.graded_only or target.graded_only):
+        for k in range(na):
+            if g.parity(k + 1) == ls.ODD:
+                sv = g.sq[k + 1]
+                diff = image(sv >> 1) ^ target.sq_vec(1 << iota[k])
+                if diff & ~(1 << one):
+                    return None
+                rows.append((beta_coeff(sv >> 1), ((diff >> one) & 1) ^ (sv & 1)))
+    solved = solve_affine(rows, nun)
+    if solved is None:
+        return None
+    base, kernel = solved
+    for mask in range(1 << len(kernel)):
+        s = base ^ _ref_apply(kernel, mask)
+        cols = [1 << one] + [(1 << iota[k]) ^ ((1 << one) if k in beta_idx and (s >> beta_idx.index(k)) & 1 else 0)
+                             for k in range(na)]
+        dcol = 1 << top
+        for j in y_idx:
+            if (s >> (len(beta_idx) + y_idx.index(j))) & 1:
+                dcol ^= 1 << iota[j]
+        if pc == pd and (s >> (nun - 1)) & 1:
+            dcol ^= 1 << one
+        cols.append(dcol)
+        if _ref_witness_ok(ext, target, cols):
+            return tuple(cols)
+    return None
+
+
+def test_identify_canonical_matches_reference():
+    # every preserving row of the standard families of sizes 4 and 5, with
+    # every m, against the family's po/b
+    attempts = found = 0
+    for total in (4, 5):
+        for fam in cli.standard_families(total):
+            an = cli.analyze_family(fam)
+            g, B = an.g, an.B
+            po, _ = ls.poisson_algebra(fam.space())
+            for r in an.rows:
+                if not r.bilinear:
+                    continue
+                D = r.reps[0]
+                for m in (0, 1) if not g.graded_only and dx.case_of(B, D) == "Dodd_Bodd" else (0,):
+                    ext = dx.build(g, B, dx.prepare(g, B, D, m=m))
+                    w = dx.identify_canonical(ext, po)
+                    got = None if w is None else w.columns
+                    assert got == _ref_identify(ext, po), (fam.name, r.label, m)
+                    attempts += 1
+                    found += got is not None
+    assert (attempts, found) == (56, 17)
+
+
+def test_identify_canonical_first_witness_follows_unknown_order():
+    # On the standard families the beta and y corrections are unique (each
+    # a is perfect and centerless) and only nu is free, so their attempts
+    # do not see the order of the unknowns.  Here the row beta_2 + y_2 = 1
+    # has two solutions that both verify: ext has [e1, e2] = c and
+    # [D, e1] = e2, the target [x1, x2] = 1 and [top, x1] = x2 + 1.  With
+    # beta before y the rref pivots on beta_2, giving e2 -> x2 + 1 and
+    # D -> top; pivoting on y_2 would give e2 -> x2 and D -> top + x2.
+    space = ls.family("h", "Pi", 0, 2).space()
+
+    def algebra(names, brk12, brk31, meta):
+        basis = [ls.BasisElement(name, ls.EVEN, 0, ()) for name in names]
+        brk = [[0] * 4 for _ in range(4)]
+        brk[1][2] = brk[2][1] = brk12
+        brk[3][1] = brk[1][3] = brk31
+        g = ls.StructureConstants(basis, brk, [0] * 4, meta=meta)
+        assert g.verify_axioms().ok
+        return g
+
+    ext = dx.ExtendedAlgebra(algebra("c e1 e2 D".split(), 0b0001, 0b0100, {"extension_of": "hand-made"}), None, {})
+    target = algebra("1 x1 x2 top".split(), 0b0001, 0b0101, {"space": space, "masks": (0, 1, 2, 3)})
+    w = dx.identify_canonical(ext, target)
+    assert w.columns == _ref_identify(ext, target) == (0b0001, 0b0010, 0b0101, 0b1000)
