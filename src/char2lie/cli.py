@@ -138,6 +138,11 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             raise ValueError(f"index {tok} outside 0..{n - 1} in record {ln!r}")
         return k
 
+    def indices(toks: list[str], count: int) -> list[int]:
+        if len(toks) != count:
+            raise ValueError(f"record {ln!r} has {len(toks)} indices, not {count}")
+        return [index(t) for t in toks]
+
     for ln in lines[1:]:
         if not ln or ln.startswith("#"):
             continue
@@ -150,8 +155,11 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             meta["family"] = ls.family(parts[1], parts[2], a, b, n=a)
         elif parts[0] == "graded":
             meta["graded"] = True
-        elif parts[0] in ("sdim", "field"):
+        elif parts[0] == "sdim":
             continue
+        elif parts[0] == "field":
+            if parts[1:] != ["GF2"]:
+                raise ValueError(f"field record {ln!r}: only GF2 is supported")
         elif parts[0] == "basis":
             n = int(parts[1])
             if not 0 <= n <= len(lines):
@@ -160,6 +168,8 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             sq = [0] * n
             diag = [0] * n
         elif parts[0] == "b":
+            if parts[3] not in ("even", "odd"):
+                raise ValueError(f"basis record {ln!r} has parity {parts[3]!r}, not even or odd")
             wt = tuple(int(x) for x in parts[5:])
             basis.append(ls.BasisElement(parts[2], 1 if parts[3] == "odd" else 0, int(parts[4]), wt))
         elif parts[0] in ("brackets", "squarings", "nis", "diag"):
@@ -167,25 +177,29 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             if mode == "nis":
                 gram = [0] * n
         elif parts[0] == "parity":
+            if parts[1:] not in (["even"], ["odd"]):
+                raise ValueError(f"parity record {ln!r} is not 'parity even' or 'parity odd'")
             bpar = 1 if parts[1] == "odd" else 0
         elif parts[0] == "end":
             break
         elif brk is None:
             raise ValueError(f"record {ln!r} before the basis record")
         elif parts[0] == "sq":
-            sq[index(parts[1])] |= 1 << index(parts[2])
+            i, k = indices(parts[1:], 2)
+            sq[i] |= 1 << k
         elif parts[0] == "d":
-            diag[index(parts[1])] |= 1 << index(parts[2])
+            i, k = indices(parts[1:], 2)
+            diag[i] |= 1 << k
         elif parts[0] == "B":
             if gram is None:
                 raise ValueError(f"form record {ln!r} before the nis section")
-            i, j = index(parts[1]), index(parts[2])
+            i, j = indices(parts[1:], 2)
             if j < i:
                 raise ValueError(f"form record {ln!r} below the diagonal")
             gram[i] |= 1 << j
             gram[j] |= 1 << i
         else:
-            i, j, k = index(parts[0]), index(parts[1]), index(parts[2])
+            i, j, k = indices(parts, 3)
             if j < i:
                 raise ValueError(f"bracket record {ln!r} below the diagonal")
             brk[i][j] |= 1 << k

@@ -287,8 +287,13 @@ def _verify_witness(ext: ExtendedAlgebra, target: StructureConstants, cols: list
 
 
 def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoWitness | None:
-    """Attempt c -> 1, a -> a + beta(a)*1, D -> top + y + nu*1 with the
-    corrections solved linearly; verify the result completely."""
+    """Attempt c -> 1, a -> a + beta(a)*1, D -> top + y with the
+    corrections solved linearly; verify the result completely.
+
+    phi(D) gets no unit term: it would enter no relation, and with c
+    central and s(c) = 0 a witness must have [1, x] = 0 and s(1) = 0 in
+    the target, so D -> top + y + 1 verifies exactly when D -> top + y
+    does."""
     g = ext.alg
     n = g.n
     if target.n != n:
@@ -314,8 +319,7 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
 
     # phi0 (c -> 1, e_k -> iota(e_k), D -> top) and the unknowns, in order:
     # beta_k on the a-elements of parity pc, y_k on those of parity pd (ys
-    # holds the target vector each adds to phi(D)), nu (phi(D) += 1) when
-    # pc == pd
+    # holds the target vector each adds to phi(D))
     unit = 1 << one
     cols0 = [unit] + [1 << t for t in iota] + [1 << top]
     a_idx = range(1, n - 1)
@@ -326,7 +330,7 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
             beta[k] = 1 << nb
             nb += 1
     ys = [cols0[k] for k in a_idx if g.parity(k) == pd]
-    nun = nb + len(ys) + (pc == pd)
+    nun = nb + len(ys)
 
     # an a-relation (ext value v, target value tv) holds up to the unit,
     # which beta(v) must cancel: the a-brackets, and the odd squares in
@@ -354,12 +358,12 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
         return None
     base, kernel = solved
     # enumerate the whole affine solution set to satisfy the quadratic
-    # conditions (squaring of D, and full verification); the kernel is at
-    # most 1-dimensional for every standard family at sizes 4-6
+    # conditions (squaring of D, and full verification); the kernel is
+    # empty, one candidate, for every standard family at sizes 4-6
     for mask in range(1 << len(kernel)):
         s = base ^ xor_rows(kernel, mask)
         cols = [c ^ (unit if s & b else 0) for c, b in zip(cols0, beta)]
-        cols[-1] ^= xor_rows(ys + [unit], s >> nb)
+        cols[-1] ^= xor_rows(ys, s >> nb)
         if _verify_witness(ext, target, cols):
             return IsoWitness(tuple(cols))
     return None

@@ -1,8 +1,15 @@
+import contextlib
+import functools
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from char2lie import cli
 from char2lie import liesuper as ls
@@ -33,6 +40,22 @@ def test_sca_leibniz_diag_roundtrip(built):
     po2, _ = cli.sca_parse(text)
     assert po2.diag == po.diag
     assert po2.is_leibniz
+
+
+@pytest.mark.parametrize("kind", ["brackets", "sq", "d", "B", "parity"])
+def test_sca_record_with_extra_field_rejected(kind):
+    # po of hI(0|4) has records of every kind: brackets, squares, the
+    # Leibniz diagonal and the form; one extra field on the first record of
+    # a kind makes the file invalid
+    po, B = ls.poisson_algebra(ls.family("h", "I", 0, 4).space())
+    lines = cli.sca_dump(po, B).splitlines()
+    if kind == "brackets":
+        k = lines.index("brackets") + 1
+    else:
+        k = next(k for k, ln in enumerate(lines) if ln.startswith(kind + " "))
+    lines[k] += " 0"
+    with pytest.raises(ValueError, match="indices|parity"):
+        cli.sca_parse("\n".join(lines))
 
 
 def test_cmd_build_and_derivations(tmp_path, capsys):
@@ -82,6 +105,30 @@ def _swapped_form(text):
     return text.replace("B 0 13\n", "B 13 0\n", 1)
 
 
+def _field_not_gf2(text):
+    return text.replace("field GF2\n", "field sq\n", 1)
+
+
+def _bracket_extra_field(text):
+    return text.replace("\n1 4 3\n", "\n1 4 3 end\n", 1)
+
+
+def _form_extra_field(text):
+    return text.replace("B 3 10\n", "B 3 10 14\n", 1)
+
+
+def _parity_not_even_odd(text):
+    return text.replace("parity even\n", "parity 0\n", 1)
+
+
+def _parity_extra_field(text):
+    return text.replace("parity even\n", "parity even odd\n", 1)
+
+
+def _basis_parity_not_even_odd(text):
+    return text.replace("b 2 xi1.eta1 even ", "b 2 xi1.eta1 foo ", 1)
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -94,6 +141,12 @@ def _swapped_form(text):
         _huge_family,
         _swapped_bracket,
         _swapped_form,
+        _field_not_gf2,
+        _bracket_extra_field,
+        _form_extra_field,
+        _parity_not_even_odd,
+        _parity_extra_field,
+        _basis_parity_not_even_odd,
     ],
 )
 def test_corrupt_sca_rejected(tmp_path, capsys, corrupt):
@@ -106,6 +159,62 @@ def test_corrupt_sca_rejected(tmp_path, capsys, corrupt):
     capsys.readouterr()
     assert run_cli("derivations", *args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@functools.cache
+def _size4_sca() -> str:
+    return cli.sca_dump(*ls.build_algebra(ls.family("h", "Pi", 0, 4)))
+
+
+_TOKENS = ("0", "1", "13", "14", "-1", "x", "odd", "even", "GF2", "b", "B", "sq", "d", "nis", "end", "9" * 20)
+
+
+@st.composite
+def _corrupted_sca(draw):
+    """The size-4 .sca of hPi(0|4) with 1-3 edits, each deleting,
+    duplicating or retokenizing a line (one token dropped, repeated,
+    replaced or inserted)."""
+    lines = _size4_sca().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["delete", "duplicate", "retokenize"]))
+        if op == "delete":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            toks = lines[k].split()
+            t = draw(st.integers(0, len(toks)))
+            edit = draw(st.sampled_from(["drop", "repeat", "replace", "insert"]))
+            new = draw(st.one_of(st.sampled_from(_TOKENS), st.integers(-2, 20).map(str)))
+            if t == len(toks) or edit == "insert":
+                toks.insert(t, new)
+            elif edit == "drop":
+                del toks[t]
+            elif edit == "repeat":
+                toks.insert(t, toks[t])
+            else:
+                toks[t] = new
+            lines[k] = " ".join(toks)
+    return "".join(ln + "\n" for ln in lines)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_corrupted_sca())
+def test_corrupt_sca_property(text):
+    # no traceback; exit 1 or 2 with an error line, or exit 0 only when
+    # the corrupted file parses to the original object
+    args = ["derivations", "--family", "h", "--form", "Pi", "--even", "0", "--odd", "4"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out:
+        (Path(out) / "h_Pi_0_4.sca").write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(args + ["--out", out])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert cli._sca_mismatch(*cli.sca_parse(_size4_sca()), *cli.sca_parse(text)) == ""
 
 
 def test_commands_build_the_family_once(tmp_path, capsys, monkeypatch):

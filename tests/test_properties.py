@@ -471,9 +471,11 @@ def test_bracket_matches_derivative_formula(pair):
 # The reference is the E1/E2/E3 formulation the library used before it built
 # one row per a-relation from the phi0 columns: separate loops for the
 # a-brackets (E1), the [D, e_k] coordinates (E2) and the odd squares (E3),
-# each unknown looked up by list.index, and the witness checked by its own
-# loops.  The two must give the same witness columns, or None, on every
-# attempt: the unknowns' order fixes the first witness the enumeration finds.
+# each unknown looked up by list.index, the unknown nu (phi(D) += 1 when c
+# and D have the same parity) that the library dropped, and the witness
+# checked by its own loops.  The two must give the same witness columns, or
+# None, on every attempt: the unknowns' order fixes the first witness the
+# enumeration finds.
 
 
 def _ref_witness_ok(ext, target, cols):
@@ -593,8 +595,8 @@ def test_identify_canonical_matches_reference():
 
 def test_identify_canonical_first_witness_follows_unknown_order():
     # On the standard families the beta and y corrections are unique (each
-    # a is perfect and centerless) and only nu is free, so their attempts
-    # do not see the order of the unknowns.  Here the row beta_2 + y_2 = 1
+    # a is perfect and centerless; only the reference's nu is free), so
+    # their attempts do not see the order of the unknowns.  Here the row beta_2 + y_2 = 1
     # has two solutions that both verify: ext has [e1, e2] = c and
     # [D, e1] = e2, the target [x1, x2] = 1 and [top, x1] = x2 + 1.  With
     # beta before y the rref pivots on beta_2, giving e2 -> x2 + 1 and
@@ -614,3 +616,106 @@ def test_identify_canonical_first_witness_follows_unknown_order():
     target = algebra("1 x1 x2 top".split(), 0b0001, 0b0101, {"space": space, "masks": (0, 1, 2, 3)})
     w = dx.identify_canonical(ext, target)
     assert w.columns == _ref_identify(ext, target) == (0b0001, 0b0010, 0b0101, 0b1000)
+
+
+# -- differential check of is_derivation -------------------------------------
+# The reference is the all-pairs loop the library used before it checked one
+# table row at a time: for every pair i < j, D applied to brk[i][j] against
+# two bracket_vec calls (which read the Leibniz diagonal), then Der2 on the
+# odd basis elements unless g is graded only.  The Leibniz Poisson objects
+# make each of three mutants of the row-at-a-time check disagree with it:
+# one that reads brk instead of table() (no diagonal), one that starts j at
+# i, and one that drops Der2; the graded-only desuperization catches the
+# last one on its own (4 maps).
+
+
+def _ref_is_derivation(g, D):
+    n = g.n
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = _ref_apply(D.cols, g.brk[i][j])
+            if lhs != g.bracket_vec(D.cols[i], 1 << j) ^ g.bracket_vec(1 << i, D.cols[j]):
+                return False
+    if not g.graded_only:
+        for i in g.odd_indices():
+            if _ref_apply(D.cols, g.sq[i]) != g.bracket_vec(D.cols[i], 1 << i):
+                return False
+    return True
+
+
+def _with_flips(maps, rng):
+    """Each map, then a copy with one seeded bit flipped."""
+    for D in maps:
+        yield D
+        cols = list(D.cols)
+        cols[rng.randrange(D.n)] ^= 1 << rng.randrange(D.n)
+        yield dv.LinearMap(tuple(cols), *D.shift)
+
+
+def _verdicts(g, maps, label):
+    """The reference verdicts, asserting that is_derivation agrees."""
+    out = []
+    for D in maps:
+        want = _ref_is_derivation(g, D)
+        assert dv.is_derivation(g, D) == want, (label, D.cols)
+        out.append(want)
+    return out
+
+
+def test_is_derivation_matches_reference_on_solver_maps():
+    # every map of the blocked spaces at sizes 4 and 5, Lie and graded
+    # only, and a one-bit flip of each
+    rng = random.Random(13)
+    seen = set()
+    for total in (4, 5):
+        for fam in cli.standard_families(total):
+            g, _ = ls.build_algebra(fam)
+            got = _verdicts(g, _with_flips(dv.derivation_space_blocked(g).all, rng), fam.name)
+            assert all(got[::2]), fam.name
+            seen.update(got)
+    assert seen == {True, False}
+
+
+def test_is_derivation_matches_reference_on_closed_form_candidates(monkeypatch):
+    # every candidate closed_form_generators filters at sizes 6 and 7,
+    # accepted or not
+    real = dv.is_derivation
+    seen = []
+
+    def check(g, D):
+        got = real(g, D)
+        assert got == _ref_is_derivation(g, D), (g.meta["family"].name, D.cols)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(dv, "is_derivation", check)
+    for total in (6, 7):
+        for fam in cli.standard_families(total):
+            dv.closed_form_generators(fam)
+    assert (len(seen), seen.count(True)) == (224, 205)
+
+
+def test_is_derivation_matches_reference_on_leibniz_and_graded_objects():
+    rng = random.Random(13)
+    # the Leibniz Poisson objects of size 4: the naive space, the rows of
+    # table() and the maps e_1 -> e_t (1 = [w, w] for a diagonal w), with
+    # one-bit flips; only the pairs i < j are Der1 pairs, so at hII(2|2)
+    # 1 -> 1 passes although D[w, w] = 1 != [Dw, w] + [w, Dw] = 0
+    passing_unit_maps = []
+    for fam in cli.standard_families(4):
+        po, _ = ls.poisson_algebra(fam.space())
+        if not po.is_leibniz:
+            continue
+        one = po.meta["masks"].index(0)
+        rows = [dv.LinearMap(tuple(r), 0, (), 0) for r in po.table()]
+        units = [dv.LinearMap(tuple(1 << t if j == one else 0 for j in range(po.n)), 0, (), 0) for t in range(po.n)]
+        _verdicts(po, _with_flips(dv.derivation_space_naive(po).all + rows, rng), fam.name)
+        passing_unit_maps += [(fam.name, t) for t, ok in enumerate(_verdicts(po, units, fam.name)) if ok]
+    assert passing_unit_maps == [("hII(1)(2|2)", 0)]
+    # the graded-only desuperization of po hPi(0|4): its Der1 solutions on
+    # the super object, where Der2 rejects some of them
+    po, _ = ls.poisson_algebra(ls.family("h", "Pi", 0, 4).space())
+    graded = ls.StructureConstants(po.basis, po.brk, po.sq, meta={**po.meta, "graded": True})
+    maps = dv.derivation_space_blocked(graded).all
+    assert all(_verdicts(graded, maps, "graded"))
+    assert _verdicts(po, maps, "super").count(False) == 4
