@@ -3,9 +3,9 @@ extension pipeline, emit tables, benchmark the solvers.
 
 On-disk format (SCA): a text header with version, superdimension, field
 marker and basis records, then bracket lines "i j k" (c_ij^k = 1, only
-i <= j stored), squaring lines "sq i k", optional Leibniz diagonal lines
-"d i k" and form lines "B i j".  Reports are deterministic: identical
-configs produce byte-identical output.
+i < j stored), squaring lines "sq i k", optional Leibniz diagonal lines
+"d i k" (c_ii^k = 1) and form lines "B i j".  Reports are deterministic:
+identical configs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -96,18 +96,17 @@ def sca_dump(g: ls.StructureConstants, B: ls.BilinearFormTable | None, header_li
         out.append(f"b {i} {b.name} {'odd' if b.parity else 'even'} {b.degree}{(' ' + wt) if wt else ''}")
     out.append("brackets")
     for i in range(g.n):
-        for j in range(i, g.n):
+        for j in range(i + 1, g.n):
             for k in bit_indices(g.brk[i][j]):
                 out.append(f"{i} {j} {k}")
     out.append("squarings")
     for i in range(g.n):
         for k in bit_indices(g.sq[i]):
             out.append(f"sq {i} {k}")
-    dg = g.diag
-    if any(dg):
+    if g.is_leibniz:
         out.append("diag")
-        for i in range(g.n):
-            for k in bit_indices(dg[i]):
+        for i, row in enumerate(g.brk):
+            for k in bit_indices(row[i]):
                 out.append(f"d {i} {k}")
     if B is not None:
         out.append("nis")
@@ -125,7 +124,7 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
     if not lines or not lines[0].startswith("SCA"):
         raise ValueError("not an SCA file")
     basis: list[ls.BasisElement] = []
-    brk = sq = diag = None
+    brk = sq = sdim = None
     gram = None
     bpar = 0
     meta: dict = {}
@@ -156,7 +155,7 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
         elif parts[0] == "graded":
             meta["graded"] = True
         elif parts[0] == "sdim":
-            continue
+            sdim = [int(t) for t in parts[1:]]
         elif parts[0] == "field":
             if parts[1:] != ["GF2"]:
                 raise ValueError(f"field record {ln!r}: only GF2 is supported")
@@ -166,7 +165,6 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
                 raise ValueError(f"basis count {n} outside 0..{len(lines)}, the most b records the file can hold")
             brk = [[0] * n for _ in range(n)]
             sq = [0] * n
-            diag = [0] * n
         elif parts[0] == "b":
             if parts[3] not in ("even", "odd"):
                 raise ValueError(f"basis record {ln!r} has parity {parts[3]!r}, not even or odd")
@@ -189,7 +187,7 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             sq[i] |= 1 << k
         elif parts[0] == "d":
             i, k = indices(parts[1:], 2)
-            diag[i] |= 1 << k
+            brk[i][i] |= 1 << k
         elif parts[0] == "B":
             if gram is None:
                 raise ValueError(f"form record {ln!r} before the nis section")
@@ -200,14 +198,15 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             gram[j] |= 1 << i
         else:
             i, j, k = indices(parts, 3)
-            if j < i:
-                raise ValueError(f"bracket record {ln!r} below the diagonal")
+            if j <= i:
+                raise ValueError(f"bracket record {ln!r} not above the diagonal (the diagonal goes in d records)")
             brk[i][j] |= 1 << k
             brk[j][i] |= 1 << k  # symmetric closure
     if brk is None:
         raise ValueError("no basis record")
-    if any(diag):
-        meta["diag"] = tuple(diag)
+    odd = sum(b.parity for b in basis)
+    if sdim is not None and sdim != [len(basis) - odd, odd]:
+        raise ValueError(f"sdim record {sdim} does not match the {len(basis) - odd} even and {odd} odd b records")
     g = ls.StructureConstants(basis, brk, sq, meta=meta)
     B = ls.BilinearFormTable(tuple(gram), bpar) if gram is not None else None
     return g, B
@@ -469,7 +468,6 @@ def _sca_mismatch(g, B, g2, B2) -> str:
             "basis": h.basis,
             "brackets": h.brk,
             "squarings": h.sq,
-            "diagonal": h.diag,
             "graded": h.graded_only,
             "form": F.gram if F else None,
             "form parity": F.parity if F else None,

@@ -140,17 +140,6 @@ class DerivationSpace:
         return sum(len(v) for v in self.outer_reps.values())
 
 
-def _rev_table(g: StructureConstants) -> list[list[int]]:
-    """rev[j][t] = mask of u with e_t appearing in [e_u, e_j]."""
-    n = g.n
-    rev = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for j in range(n):
-            for t in bit_indices(g.brk[u][j]):
-                rev[j][t] |= 1 << u
-    return rev
-
-
 def _equations(g: StructureConstants, bit, gens=None):
     """Every nonzero equation as (i, j, t, row): Der1 of the pair i < j
     and, unless g is graded only, Der2 of odd i (given as j = i), at output
@@ -163,7 +152,8 @@ def _equations(g: StructureConstants, bit, gens=None):
     for every y form a subalgebra, which contains S and so is g.  Der2 is
     emitted on every odd i, since that lemma does not reach the squares."""
     n = g.n
-    rev = _rev_table(g)
+    # rev[j][t]: mask of the u with e_t in [e_u, e_j]
+    rev = [transpose([row[j] for row in g.brk], n) for j in range(n)]
     revb = [[bit_indices(m) for m in row] for row in rev]
     # output coordinates that bracketing with e_j can reach
     tmask = [sum(1 << t for t in range(n) if rev[j][t]) for j in range(n)]
@@ -228,7 +218,7 @@ def _homogenize(g: StructureConstants, vecs: list[int]) -> list[LinearMap]:
 
 
 def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> DerivationSpace:
-    inner = [LinearMap(tuple(row), *g.cell_key(k)) for k, row in enumerate(g.table()) if any(row)]
+    inner = [LinearMap(tuple(row), *g.cell_key(k)) for k, row in enumerate(g.brk) if any(row)]
     by_shift: dict[ShiftKey, list[int]] = {}
     for d in maps:
         by_shift.setdefault(d.shift, []).append(d.as_vec())
@@ -310,8 +300,8 @@ def spaces_equal(a: DerivationSpace, b: DerivationSpace) -> bool:
 
 def is_derivation(g: StructureConstants, D: LinearMap) -> bool:
     """Check Der1 over all pairs i < j and, for genuine superalgebras,
-    Der2 over odd basis elements, on the rows T of `g.table()` (so a
-    Leibniz diagonal enters the brackets).  Every pair is checked, without
+    Der2 over odd basis elements, on the rows T of `g.brk` (so a Leibniz
+    diagonal enters the brackets).  Every pair is checked, without
     the generating-set lemma, so the check is independent of the blocked
     solver.
 
@@ -320,7 +310,7 @@ def is_derivation(g: StructureConstants, D: LinearMap) -> bool:
     xor of T[i] over the bits of De_j, and D[e_i, e_j] the xor of D's
     columns over the bits of T[i][j]."""
     n = g.n
-    T = g.table()
+    T = g.brk
     cols = D.cols
     dbits = [bit_indices(c) for c in cols]
     odd = 0 if g.graded_only else g.parity_mask(sf.ODD)

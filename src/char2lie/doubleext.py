@@ -122,17 +122,14 @@ def build(a: StructureConstants, B: BilinearFormTable, data: ExtensionData) -> E
 
     brk = [[0] * N for _ in range(N)]
     for i in range(n):
-        left = B.left(D.cols[i])  # bit j: B(D e_i, e_j), the c-component of [e_i, e_j]
+        # bit j: B(D e_i, e_j), the c-component of [e_i, e_j]; at j = i it
+        # is the Leibniz diagonal [e_i, e_i] = c (the po_I phenomenon),
+        # present only on odd elements after the even-diagonal gate, or on
+        # any element for desuperized input
+        left = B.left(D.cols[i])
         for j in range(n):
-            if i != j:
-                brk[i + 1][j + 1] = (a.brk[i][j] << 1) | ((left >> j) & 1)
+            brk[i + 1][j + 1] = (a.brk[i][j] << 1) | ((left >> j) & 1)
         brk[N - 1][i + 1] = brk[i + 1][N - 1] = D.cols[i] << 1
-    # Leibniz diagonal: a nonzero B(D e_i, e_i) has no place in a Lie
-    # bracket and is carried as the diagonal [e_i, e_i] = c (the po_I
-    # phenomenon); present only on odd elements after the even-diagonal
-    # gate, or on any element for desuperized input
-    a_diag = a.diag
-    diag = [0] + [(a_diag[i] << 1) | B.pairing(D.cols[i], 1 << i) for i in range(n)] + [0]
     sq = [0] * N
     if not graded:
         for oi, i in enumerate(a.odd_indices()):
@@ -144,8 +141,6 @@ def build(a: StructureConstants, B: BilinearFormTable, data: ExtensionData) -> E
     meta = {"extension_of": a.meta.get("family"), "case": case}
     if graded:
         meta["graded"] = True
-    if any(diag):
-        meta["diag"] = tuple(diag)
     alg = StructureConstants(basis, brk, sq, meta=meta)
     form = BilinearFormTable(tuple(gram), B.parity)
     prov = {
@@ -274,13 +269,10 @@ def _verify_witness(ext: ExtendedAlgebra, target: StructureConstants, cols: list
     n = g.n
     if span_dim(cols) != n:
         return False
-    gd = g.diag
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in range(i, n):
             if xor_rows(cols, g.brk[i][j]) != target.bracket_vec(cols[i], cols[j]):
                 return False
-        if xor_rows(cols, gd[i]) != target.bracket_vec(cols[i], cols[i]):
-            return False
     if g.graded_only or target.graded_only:
         return True
     return all(xor_rows(cols, g.sq[i]) == target.sq_vec(cols[i]) for i in g.odd_indices())

@@ -45,7 +45,7 @@ def _basis_ads(g: StructureConstants) -> list[dict[int, int]]:
     """ad(e_i) as its nonzero columns {k: [e_i, e_k]}, for every i: by
     bilinearity the columns of ad(x) are the xor of these over the
     support of x."""
-    return [{k: c for k, c in enumerate(row) if c} for row in g.table()]
+    return [{k: c for k, c in enumerate(row) if c} for row in g.brk]
 
 
 def ad_rank_spectrum(g: StructureConstants) -> tuple[int, ...]:
@@ -74,7 +74,7 @@ def has_odd_ad_rank(g: StructureConstants) -> bool:
     raises ValueError above n = 16 rather than answer from a sample."""
     if g.n > 16:
         raise ValueError(f"has_odd_ad_rank searches all 2^n elements; n = {g.n} exceeds 16")
-    ads = [flatten_cols(row, g.n) for row in g.table()]
+    ads = [flatten_cols(row, g.n) for row in g.brk]
     acc = 0
     for step in range(1, 1 << g.n):
         # element step ^ (step >> 1) differs from the previous one in the

@@ -92,6 +92,10 @@ class AxiomReport:
 class StructureConstants:
     """Bracket and squaring tables on an ordered graded basis.
 
+    brk[i][j] is [e_i, e_j]; the diagonal brk[i][i] is zero on Lie objects
+    and is the Leibniz diagonal on the others (the po_I objects and the
+    extensions with B(Df, f) != 0).
+
     When meta["graded"] is true the object is a Z/2-graded Lie algebra
     (a desuperization): the bracket is the whole structure, the squaring
     table is absent and the squaring axioms do not apply.
@@ -115,12 +119,11 @@ class StructureConstants:
     @property
     def diag(self) -> list[int]:
         """Leibniz diagonal [e_i, e_i]; all zero for Lie objects."""
-        d = self.meta.get("diag")
-        return list(d) if d is not None else [0] * self.n
+        return [row[i] for i, row in enumerate(self.brk)]
 
     @property
     def is_leibniz(self) -> bool:
-        return any(self.meta.get("diag") or ())
+        return any(self.diag)
 
     @property
     def n(self) -> int:
@@ -156,11 +159,10 @@ class StructureConstants:
 
     def bracket_vec(self, x: int, y: int) -> int:
         out = 0
-        dg = self.meta.get("diag")
         for i in bit_indices(x):
             row = self.brk[i]
             for j in bit_indices(y):
-                out ^= dg[i] if (dg and i == j) else row[j]
+                out ^= row[j]
         return out
 
     def sq_vec(self, x: int) -> int:
@@ -184,22 +186,20 @@ class StructureConstants:
     # -- verification --
 
     def verify_axioms(self, max_failures: int = 10) -> AxiomReport:
-        """Anticommutativity, parity additivity, Jacobi over all basis
-        triples i < j < k, and (unless graded-only) the squaring identity
+        """Symmetry, parity additivity, Jacobi over all basis triples
+        i < j < k, and (unless graded-only) the squaring identity
         [s(f), g] = [f, [f, g]].
 
-        Objects with a nonzero Leibniz diagonal (the po_I phenomenon:
-        {w,w} = 1 for diagonal indeterminates) are checked against the left
-        Leibniz identity instead of Jacobi, on the table with the diagonal
-        from `diag`; anticommutativity fails for them by construction and
-        is not an axiom there.  Symmetry, the parities and the squaring
-        identity are checked on both routes.
+        A nonzero diagonal brk[i][i] is the Leibniz diagonal (the po_I
+        phenomenon: {w,w} = 1 for diagonal indeterminates).  Such objects
+        are checked against the left Leibniz identity instead of Jacobi;
+        anticommutativity fails for them by construction and is not an
+        axiom there.  Symmetry, the parities and the squaring identity are
+        checked on both routes.
 
         Jacobi sums come from the nonzero products of the sparse table
         (`_products`); failures come in the order of a loop over i < j < k.
         """
-        leibniz = self.is_leibniz
-        tbl = self.table() if leibniz else self.brk
         fails: list[tuple] = []
         n = self.n
         pmask = [self.parity_mask(EVEN), self.parity_mask(ODD)]
@@ -209,23 +209,21 @@ class StructureConstants:
 
         symmetric = True
         for i in range(n):
-            if not leibniz and self.brk[i][i]:
-                fails.append(("diagonal", i))
             for j in range(i, n):
-                if tbl[i][j] != tbl[j][i]:
+                if self.brk[i][j] != self.brk[j][i]:
                     fails.append(("symmetry", i, j))
                     symmetric = False
-                if bad_parity(tbl[i][j], self.parity(i) ^ self.parity(j)):
+                if bad_parity(self.brk[i][j], self.parity(i) ^ self.parity(j)):
                     fails.append(("bracket-parity", i, j))
             if not self.graded_only and self.parity(i) == ODD and bad_parity(self.sq[i], EVEN):
                 fails.append(("squaring-parity", i))
             if len(fails) >= max_failures:
                 return AxiomReport(False, fails)
 
-        if leibniz:
-            tag, triples = "leibniz", _leibniz_triples(tbl, symmetric)
+        if self.is_leibniz:
+            tag, triples = "leibniz", _leibniz_triples(self.brk, symmetric)
         else:
-            tag, triples = "jacobi", _jacobi_triples(tbl, symmetric)
+            tag, triples = "jacobi", _jacobi_triples(self.brk, symmetric)
         fails += [(tag,) + t for t in triples[: max_failures - len(fails)]]
         if len(fails) >= max_failures:
             return AxiomReport(False, fails)
@@ -257,11 +255,6 @@ class StructureConstants:
         test that separates honest superalgebras from desuperizations)."""
         return next(self._squaring_failures(), None) is None
 
-    def table(self) -> list[list[int]]:
-        """Bracket rows with the diagonal [e_i, e_i] taken from `diag`
-        (zero for Lie objects, whatever brk[i][i] holds)."""
-        return [row[:i] + [d] + row[i + 1 :] for i, (row, d) in enumerate(zip(self.brk, self.diag))]
-
     def verify_form(self, B: BilinearFormTable, max_failures: int = 10) -> AxiomReport:
         """Symmetry, invariance B([f,h],g)=B(f,[h,g]), the odd-diagonal
         conditions, and (unless graded-only) B(f^2, g) = B(f, [f,g]).
@@ -285,12 +278,11 @@ class StructureConstants:
                     fails.append(("form-symmetry", i, j))
                 if (wrong >> j) & 1:
                     fails.append(("form-parity", i, j))
-        tbl = self.table()
         for h in range(n):
             # rhs[i]: mask of the j with B(e_i, [e_h, e_j]) = 1
-            rhs = transpose([B.right(v) for v in tbl[h]], n)
+            rhs = transpose([B.right(v) for v in self.brk[h]], n)
             for i in range(n):
-                for j in bit_indices(B.left(tbl[i][h]) ^ rhs[i]):
+                for j in bit_indices(B.left(self.brk[i][h]) ^ rhs[i]):
                     fails.append(("invariance", i, h, j))
                     if len(fails) >= max_failures:
                         return AxiomReport(False, fails)
@@ -422,35 +414,21 @@ def _table_from_masks(space: sf.Space, masks: list[int], drop: set[int]) -> Stru
 
 def poisson_algebra(space: sf.Space) -> tuple[StructureConstants, BilinearFormTable]:
     """The full bracket algebra on all monomials (po or b) plus its
-    Berezin form.  Diagonal indeterminates make the bracket Leibniz
-    ({w, w} = 1); the diagonal is carried explicitly and such objects are
+    Berezin form.  Diagonal indeterminates make the bracket Leibniz: the
+    diagonal {w, w} = 1 is written into brk, and such objects are
     verified against the Leibniz identity rather than anticommutativity.
-    Flagged graded-only when no compatible squaring exists."""
+    Flagged graded-only, as in `build_algebra`, when the squaring identity
+    fails."""
     masks = list(range(1 << space.nvars))
     g = _table_from_masks(space, masks, drop=set())
     B = berezin_table(space, masks)
-    index = {m: i for i, m in enumerate(masks)}
-    diag = [0] * g.n
+    # basis element m is the monomial m, so the unit 1 is e_0
     for w in space.kind.diagonals:
-        diag[index[1 << w]] = 1 << index[0]
-    if any(diag):
-        g.meta["diag"] = tuple(diag)
-    if not g.is_leibniz and not g.jis_holds():
-        g.meta["graded"] = True
-        g.sq = [0] * g.n
-    elif g.is_leibniz and not _graded_candidate_ok(space):
+        g.brk[1 << w][1 << w] = 1
+    if not g.jis_holds():
         g.meta["graded"] = True
         g.sq = [0] * g.n
     return g, B
-
-
-def _graded_candidate_ok(space: sf.Space) -> bool:
-    """Whether the family's simple subquotient is a genuine superalgebra
-    (mixed parities with diagonal blocks are not)."""
-    pars = {space.variables[w].parity for w in space.kind.diagonals}
-    pars |= {space.variables[u].parity for u, _ in space.kind.pairs}
-    has_diag = bool(space.kind.diagonals)
-    return not (has_diag and len(pars) > 1)
 
 
 def berezin_table(space: sf.Space, masks: list[int]) -> BilinearFormTable:
@@ -689,7 +667,7 @@ def generating_set(g: StructureConstants) -> list[int]:
 def inner_span(g: StructureConstants) -> SpanBasis:
     """Span of the inner derivations ad(e_k), flattened by `flatten_cols`."""
     span = SpanBasis()
-    span.extend(flatten_cols(row, g.n) for row in g.table())
+    span.extend(flatten_cols(row, g.n) for row in g.brk)
     return span
 
 
@@ -701,7 +679,7 @@ def ad_preimage(g: StructureConstants, maps) -> list[int | None]:
     reduced to no bit below n*n is inner, and its bits above are y."""
     nn = g.n * g.n
     span = SpanBasis()
-    span.extend(flatten_cols(row, g.n) | 1 << (nn + k) for k, row in enumerate(g.table()))
+    span.extend(flatten_cols(row, g.n) | 1 << (nn + k) for k, row in enumerate(g.brk))
     out = []
     for v in maps:
         r = span.reduce(v)
@@ -725,8 +703,7 @@ def restrictedness_check(g: StructureConstants) -> RestrictednessReport:
     """For every even basis element x, decide whether (ad_x)^2 is an inner
     derivation ad_y, and record the witness y."""
     evens = g.even_indices()
-    tbl = g.table()
-    squares = [flatten_cols(compose_cols(tbl[i], tbl[i]), g.n) for i in evens]
+    squares = [flatten_cols(compose_cols(g.brk[i], g.brk[i]), g.n) for i in evens]
     witnesses = {}
     failures = []
     for i, y in zip(evens, ad_preimage(g, squares)):

@@ -42,6 +42,41 @@ def test_sca_leibniz_diag_roundtrip(built):
     assert po2.is_leibniz
 
 
+@st.composite
+def _random_objects(draw):
+    """An object with n <= 8: random parities, degrees and weights,
+    symmetric off-diagonal brackets, a diagonal, squares, a symmetric Gram
+    matrix, a form parity and a graded flag."""
+    n = draw(st.integers(1, 8))
+    vec = st.integers(0, (1 << n) - 1)
+    element = st.tuples(st.integers(0, 1), st.integers(-3, 3), st.lists(st.integers(-2, 2), max_size=2).map(tuple))
+    basis = [ls.BasisElement(f"e{i}", *draw(element)) for i in range(n)]
+    brk = [[0] * n for _ in range(n)]
+    gram = [0] * n
+    for i in range(n):
+        brk[i][i] = draw(vec)
+        gram[i] |= draw(st.integers(0, 1)) << i
+        for j in range(i + 1, n):
+            brk[i][j] = brk[j][i] = draw(vec)
+            if draw(st.booleans()):
+                gram[i] |= 1 << j
+                gram[j] |= 1 << i
+    sq = [draw(vec) for _ in range(n)]
+    meta = {"graded": True} if draw(st.booleans()) else {}
+    return ls.StructureConstants(basis, brk, sq, meta), ls.BilinearFormTable(tuple(gram), draw(st.integers(0, 1)))
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_random_objects())
+def test_sca_roundtrip_random_tables(obj):
+    # the diagonal brk[i][i] goes out as "d" records and comes back there
+    g, B = obj
+    text = cli.sca_dump(g, B)
+    g2, B2 = cli.sca_parse(text)
+    assert cli._sca_mismatch(g, B, g2, B2) == ""
+    assert cli.sca_dump(g2, B2) == text
+
+
 @pytest.mark.parametrize("kind", ["brackets", "sq", "d", "B", "parity"])
 def test_sca_record_with_extra_field_rejected(kind):
     # po of hI(0|4) has records of every kind: brackets, squares, the
@@ -101,6 +136,14 @@ def _swapped_bracket(text):
     return text.replace("brackets\n0 2 0\n", "brackets\n2 0 0\n", 1)
 
 
+def _diagonal_bracket(text):
+    return text.replace("brackets\n", "brackets\n3 3 0\n", 1)
+
+
+def _wrong_sdim(text):
+    return text.replace("sdim 6 8\n", "sdim 5 9\n", 1)
+
+
 def _swapped_form(text):
     return text.replace("B 0 13\n", "B 13 0\n", 1)
 
@@ -140,6 +183,8 @@ def _basis_parity_not_even_odd(text):
         _huge_basis_count,
         _huge_family,
         _swapped_bracket,
+        _diagonal_bracket,
+        _wrong_sdim,
         _swapped_form,
         _field_not_gf2,
         _bracket_extra_field,

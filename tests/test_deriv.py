@@ -1,5 +1,6 @@
 import pytest
 
+from char2lie import cli
 from char2lie import deriv as dv
 from char2lie import doubleext as dx
 from char2lie import liesuper as ls
@@ -203,6 +204,21 @@ def test_blocked_solver_refuses_leibniz():
     assert po.is_leibniz
     with pytest.raises(ValueError, match="Leibniz"):
         dv.derivation_space_blocked(po)
+
+
+def test_naive_solver_maps_are_derivations_on_leibniz_objects():
+    # the naive equations and is_derivation read the same table, Leibniz
+    # diagonal included, so every map the solver returns passes the check
+    seen = {}
+    for total in (4, 5):
+        for fam in cli.standard_families(total):
+            po, _ = ls.poisson_algebra(fam.space())
+            if not po.is_leibniz:
+                continue
+            maps = dv.derivation_space_naive(po).all
+            assert all(dv.is_derivation(po, D) for D in maps), fam.name
+            seen[fam.name] = len(maps)
+    assert len(seen) == 13 and seen["hI(1)(0|4)"] == 16
 
 
 def test_cells_partition(built):

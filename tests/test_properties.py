@@ -193,7 +193,7 @@ def _ref_verify_axioms(g, max_failures):
                         if len(fails) >= max_failures:
                             return False, fails
     if not g.graded_only:
-        # the squaring identity reads brk, without the Leibniz diagonal
+        # the squaring identity reads brk, the Leibniz diagonal included
         bcol = [[g.brk[m][k] for m in range(n)] for k in range(n)]
         for i in g.odd_indices():
             for j in range(n):
@@ -270,7 +270,8 @@ def _verification_bases():
 def _perturbed_objects(draw):
     """A base object with a few table flips: asymmetric bracket entries,
     nonzero brk[i][i], asymmetric and diagonal Gram entries, squares and
-    the Leibniz diagonal; plus a map D and vectors for the pairwise checks."""
+    the Leibniz diagonal of a Leibniz base; plus a map D and vectors for
+    the pairwise checks."""
     g0, B0 = draw(st.sampled_from(_verification_bases()))
     n = g0.n
     g = ls.StructureConstants(g0.basis, g0.brk, g0.sq, meta=g0.meta)
@@ -290,10 +291,8 @@ def _perturbed_objects(draw):
             gram[i] ^= 1 << i
         elif kind == 5:
             g.sq[i] ^= 1 << t
-        elif g.meta.get("diag"):
-            diag = list(g.meta["diag"])
-            diag[i] ^= 1 << t
-            g.meta["diag"] = tuple(diag)
+        elif g0.is_leibniz:
+            g.brk[i][i] ^= 1 << t
     B = ls.BilinearFormTable(tuple(gram), B0.parity)
     cols = list(g.brk[draw(idx)])
     for j, t in draw(st.lists(st.tuples(idx, idx), max_size=3)):
@@ -321,9 +320,8 @@ def test_symmetric_leibniz_failures_match_reference_loops():
     # out at all of its orderings, {a, a, a} included.
     g0, _ = _verification_bases()[3]
     for i, t in [(0, 0), (1, 1), (2, 3), (4, 4), (5, 5), (7, 0), (15, 15), (15, 0)]:
-        diag = list(g0.diag)
-        diag[i] ^= 1 << t
-        g = ls.StructureConstants(g0.basis, g0.brk, g0.sq, meta={**g0.meta, "diag": tuple(diag)})
+        g = ls.StructureConstants(g0.basis, g0.brk, g0.sq, meta=g0.meta)
+        g.brk[i][i] ^= 1 << t
         for max_failures in (1, 7, 10**9):
             ax = g.verify_axioms(max_failures)
             assert (ax.ok, ax.failures) == _ref_verify_axioms(g, max_failures), (i, t, max_failures)
@@ -624,8 +622,8 @@ def test_identify_canonical_first_witness_follows_unknown_order():
 # two bracket_vec calls (which read the Leibniz diagonal), then Der2 on the
 # odd basis elements unless g is graded only.  The Leibniz Poisson objects
 # make each of three mutants of the row-at-a-time check disagree with it:
-# one that reads brk instead of table() (no diagonal), one that starts j at
-# i, and one that drops Der2; the graded-only desuperization catches the
+# one that reads brk with the diagonal zeroed, one that starts j at i, and
+# one that drops Der2; the graded-only desuperization catches the
 # last one on its own (4 maps).
 
 
@@ -698,7 +696,7 @@ def test_is_derivation_matches_reference_on_closed_form_candidates(monkeypatch):
 def test_is_derivation_matches_reference_on_leibniz_and_graded_objects():
     rng = random.Random(13)
     # the Leibniz Poisson objects of size 4: the naive space, the rows of
-    # table() and the maps e_1 -> e_t (1 = [w, w] for a diagonal w), with
+    # brk and the maps e_1 -> e_t (1 = [w, w] for a diagonal w), with
     # one-bit flips; only the pairs i < j are Der1 pairs, so at hII(2|2)
     # 1 -> 1 passes although D[w, w] = 1 != [Dw, w] + [w, Dw] = 0
     passing_unit_maps = []
@@ -707,7 +705,7 @@ def test_is_derivation_matches_reference_on_leibniz_and_graded_objects():
         if not po.is_leibniz:
             continue
         one = po.meta["masks"].index(0)
-        rows = [dv.LinearMap(tuple(r), 0, (), 0) for r in po.table()]
+        rows = [dv.LinearMap(tuple(r), 0, (), 0) for r in po.brk]
         units = [dv.LinearMap(tuple(1 << t if j == one else 0 for j in range(po.n)), 0, (), 0) for t in range(po.n)]
         _verdicts(po, _with_flips(dv.derivation_space_naive(po).all + rows, rng), fam.name)
         passing_unit_maps += [(fam.name, t) for t, ok in enumerate(_verdicts(po, units, fam.name)) if ok]
