@@ -627,7 +627,7 @@ def quotient(g: StructureConstants, ideal: Subspace) -> StructureConstants:
     brk = [[0] * n2 for _ in range(n2)]
     sq = [0] * n2
     for a in range(n2):
-        for b in range(a + 1, n2):
+        for b in range(a, n2):
             v = project(g.brk[keep[a]][keep[b]])
             brk[a][b] = v
             brk[b][a] = v
