@@ -358,7 +358,12 @@ def dex_family(fam: ls.FamilySpec):
                 extensions.append((name, ext))
                 if r.degree == top_deg and r.degree > 0 and m == 0:
                     wit = dx.identify_canonical(ext, po)
-                    row.identified = ("po" if fam.kind == "h" else "b") if wit is not None else "no-witness"
+                    if wit is None:
+                        row.identified = "no-witness"
+                    elif wit == dx.SEARCH_TRUNCATED:
+                        row.identified = wit
+                    else:
+                        row.identified = "po" if fam.kind == "h" else "b"
         out_rows.append(row)
     return an, out_rows, extensions
 
@@ -578,11 +583,11 @@ def cmd_bench(args) -> int:
         "naive_s": t1 - t0,
         "blocked_s": t2 - t1,
         "speedup": (t1 - t0) / max(t2 - t1, 1e-9),
-        **{k: blocked.block_stats[k] for k in ("blocks", "max_block", "rows", "distinct", "rank")},
+        **{k: blocked.block_stats[k] for k in ("blocks", "solved", "max_block", "rows", "distinct", "rank")},
     }
     print(f"bench {rec['family']} dim {rec['dim']}: naive {rec['naive_s']:.3f}s "
           f"blocked {rec['blocked_s']:.3f}s speedup {rec['speedup']:.1f}x "
-          f"blocks {rec['blocks']} max-block {rec['max_block']} "
+          f"blocks {rec['blocks']} solved {rec['solved']} max-block {rec['max_block']} "
           f"rows {rec['rows']} distinct {rec['distinct']} rank {rec['rank']}")
     return EXIT_OK
 

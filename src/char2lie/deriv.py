@@ -16,6 +16,12 @@ bracket only, and Der1 on all pairs does not fix D on the squares (with
 odd x, even z, x^2 = z and all brackets 0, Der1 leaves Dz free and Der2
 forces Dz = 0).  The naive solver keeps every pair, so comparing the two
 checks the blocking and the lemma together.
+
+The blocked solver also solves only one block of each orbit of shifts
+under the family's variable symmetries (`liesuper.symmetries`): an
+automorphism p carries the derivations of one shift onto those of
+another by D -> p D p^-1, so the other blocks of the orbit are copies.
+The naive solver solves everything at once, so it checks the copies too.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import superfunc as sf
-from .gf2core import (BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, span_equal, transpose,
-                      unflatten_cols, xor_rows)
-from .liesuper import BilinearFormTable, FamilySpec, StructureConstants, build_algebra, generating_set, inner_span
+from .gf2core import (BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, kernel_form, span_equal,
+                      transpose, unflatten_cols, xor_rows)
+from .liesuper import (BilinearFormTable, FamilySpec, StructureConstants, build_algebra, generating_set, inner_span,
+                       orbits, symmetries)
 
 ShiftKey = tuple  # (degree shift, weight shift tuple, parity shift)
 
@@ -140,9 +147,10 @@ class DerivationSpace:
         return sum(len(v) for v in self.outer_reps.values())
 
 
-def _equations(g: StructureConstants, bit, gens=None):
-    """Every nonzero equation as (i, j, t, row): Der1 of the pair i < j
-    and, unless g is graded only, Der2 of odd i (given as j = i), at output
+def _equations(g: StructureConstants, bit, gens=None, keep=None):
+    """Every nonzero equation as (i, j, t, row): Der1 of the pair i < j,
+    and of (i, i) where the Leibniz diagonal [e_i, e_i] is nonzero, and,
+    unless g is graded only, Der2 of odd i (given as j = i), at output
     coordinate t.  bit[s][t] is the mask of the unknown D[t][s], the
     coefficient of e_t in D e_s.
 
@@ -150,20 +158,24 @@ def _equations(g: StructureConstants, bit, gens=None):
     only on the pairs with i or j in S.  When g satisfies Jacobi these cut
     out the same space as all pairs: the x with D[x,y] = [Dx,y] + [x,Dy]
     for every y form a subalgebra, which contains S and so is g.  Der2 is
-    emitted on every odd i, since that lemma does not reach the squares."""
+    emitted on every odd i, since that lemma does not reach the squares.
+    With `keep`, only the t in the mask keep(i, j) are emitted."""
     n = g.n
+    full = (1 << n) - 1
     # rev[j][t]: mask of the u with e_t in [e_u, e_j]
     rev = [transpose([row[j] for row in g.brk], n) for j in range(n)]
-    revb = [[bit_indices(m) for m in row] for row in rev]
+    revb = [[bit_indices(m) if m else () for m in row] for row in rev]
     # output coordinates that bracketing with e_j can reach
     tmask = [sum(1 << t for t in range(n) if rev[j][t]) for j in range(n)]
-    gmask = -1 if gens is None else sum(1 << s for s in gens)
+    gmask = full if gens is None else sum(1 << s for s in gens)
     for i in range(n):
         bi = bit[i]
-        for j in range(i + 1, n) if gmask >> i & 1 else bit_indices(gmask & (-1 << (i + 1))):
+        first = i if g.brk[i][i] else i + 1
+        for j in range(first, n) if gmask >> i & 1 else bit_indices(gmask & (-1 << first)):
             bj = bit[j]
             prod = bit_indices(g.brk[i][j])
-            for t in range(n) if prod else bit_indices(tmask[i] | tmask[j]):
+            reach = full if prod else tmask[i] | tmask[j]
+            for t in bit_indices(reach if keep is None else reach & keep(i, j)):
                 row = 0
                 for m in prod:
                     row ^= bit[m][t]
@@ -177,7 +189,8 @@ def _equations(g: StructureConstants, bit, gens=None):
         for i in g.odd_indices():
             bi = bit[i]
             sq = bit_indices(g.sq[i])
-            for t in range(n) if sq else bit_indices(tmask[i]):
+            reach = full if sq else tmask[i]
+            for t in bit_indices(reach if keep is None else reach & keep(i, i)):
                 row = 0
                 for m in sq:
                     row ^= bit[m][t]
@@ -236,7 +249,15 @@ def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> Deriva
 def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     """Solve one independent system per grading shift, with Der1 only on
     the pairs of `generating_set(g)` (see the module docstring).  Raises
-    ValueError on a Leibniz object, where that reduction does not hold."""
+    ValueError on a Leibniz object, where that reduction does not hold.
+
+    The automorphisms of `liesuper.symmetries(g)` permute the shifts, and
+    D -> p D p^-1 carries the derivations of a shift onto those of its
+    image.  So only the first block, in sorted shift order, of each orbit
+    is solved; every other block gets the kernel of the block it is
+    reached from, its entries (t, s) moved to (p t, p s) and the result
+    put in the form of `SpanBasis.kernel` (`gf2core.kernel_form`), so the
+    maps are those of a solve of every block."""
     if g.is_leibniz:
         raise ValueError("the blocked solver needs a Lie object (Jacobi); this one has a Leibniz diagonal")
     n = g.n
@@ -250,18 +271,18 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
             lin = (lin << 16) + w
         return lin << 1
 
-    kc = [code(g.cell_key(i)) for i in range(n)]
     par = [g.parity(i) for i in range(n)]
 
     # one block per shift between two cells, its unknowns D[t][s] in the
     # order of the sorted source cells; a shift that no equation
     # constrains keeps all of its unknowns free
     cells = g.cells()
+    ccode = {k: code(k) for k in cells}
     blocks: dict[int, tuple[ShiftKey, list[tuple[int, int]]]] = {}
     bit = [[0] * n for _ in range(n)]
     for ks, src in sorted(cells.items()):
         for kt, tgt in cells.items():
-            c = code(kt) - code(ks) + (kt[2] ^ ks[2])
+            c = ccode[kt] - ccode[ks] + (kt[2] ^ ks[2])
             if c not in blocks:
                 blocks[c] = (cell_shift(ks, kt), [])
             ents = blocks[c][1]
@@ -270,27 +291,69 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
                     bit[s][t] = 1 << len(ents)
                     ents.append((t, s))
 
-    rows: dict[int, set[int]] = {c: set() for c in blocks}
-    emitted = rank = 0
-    for i, j, t, row in _equations(g, bit, generating_set(g)):
+    kc = [ccode[g.cell_key(i)] for i in range(n)]
+    # the blocks in sorted shift order, and where each symmetry sends them
+    order = sorted(blocks, key=lambda c: blocks[c][0])
+    place = {c: b for b, c in enumerate(order)}
+    perms = symmetries(g)
+    moves = [[place[kc[p[t]] - kc[p[s]] + (par[t] ^ par[s])] for t, s in (blocks[c][1][0] for c in order)]
+             for p in perms]
+    orbs = orbits(moves, len(order))
+    solved = {order[orbit[0][0]] for orbit in orbs}
+
+    # the output coordinates t of a pair (i, j) whose equations fall in a
+    # solved block, one mask per (code sum, parity) of the pair
+    cell_masks = [(kc[ts[0]], par[ts[0]], sum(1 << t for t in ts)) for ts in cells.values()]
+    keep_masks: dict[int, int] = {}
+
+    def keep(i: int, j: int) -> int:
+        s, q = kc[i] + kc[j], par[i] ^ par[j]
+        m = keep_masks.get(s | q)
+        if m is None:
+            m = keep_masks[s | q] = sum(mask for ct, pt, mask in cell_masks if ct - s + (pt ^ q) in solved)
+        return m
+
+    rows: dict[int, set[int]] = {c: set() for c in solved}
+    emitted = 0
+    for i, j, t, row in _equations(g, bit, generating_set(g), keep):
         rows[kc[t] - kc[i] - kc[j] + (par[t] ^ par[i] ^ par[j])].add(row)
         emitted += 1
 
+    kernels: list[list[int]] = [[] for _ in order]
+    solved_rank = 0
+    for orbit in orbs:
+        for b, a, k in orbit:
+            if a is None:
+                span = SpanBasis()
+                span.extend(rows[order[b]])
+                solved_rank += span.dim
+                kernels[b] = span.kernel(len(blocks[order[b]][1]))
+            else:
+                p, src = perms[k], blocks[order[a]][1]
+                moved = []
+                for v in kernels[a]:
+                    w = 0
+                    for e in bit_indices(v):
+                        t, s = src[e]
+                        w |= bit[p[s]][p[t]]
+                    moved.append(w)
+                kernels[b] = kernel_form(moved)
+
     maps = []
-    for c in sorted(blocks, key=lambda c: blocks[c][0]):
+    rank = 0
+    for c, kernel in zip(order, kernels):
         skey, ents = blocks[c]
-        span = SpanBasis()
-        span.extend(rows[c])
-        rank += span.dim
-        for svec in span.kernel(len(ents)):
+        rank += len(ents) - len(kernel)
+        for svec in kernel:
             cols = [0] * n
-            for k in bit_indices(svec):
-                t, s = ents[k]
+            for e in bit_indices(svec):
+                t, s = ents[e]
                 cols[s] |= 1 << t
             maps.append(LinearMap(tuple(cols), *skey))
 
-    stats = {"path": "blocked", "blocks": len(blocks), "max_block": max((len(e) for _, e in blocks.values()), default=0),
-             "rows": emitted, "distinct": sum(map(len, rows.values())), "rank": rank}
+    stats = {"path": "blocked", "blocks": len(blocks), "solved": len(solved),
+             "max_block": max((len(e) for _, e in blocks.values()), default=0),
+             "rows": emitted, "distinct": sum(map(len, rows.values())), "solved_rank": solved_rank, "rank": rank}
     return _finish(g, maps, stats)
 
 
@@ -299,11 +362,11 @@ def spaces_equal(a: DerivationSpace, b: DerivationSpace) -> bool:
 
 
 def is_derivation(g: StructureConstants, D: LinearMap) -> bool:
-    """Check Der1 over all pairs i < j and, for genuine superalgebras,
-    Der2 over odd basis elements, on the rows T of `g.brk` (so a Leibniz
-    diagonal enters the brackets).  Every pair is checked, without
-    the generating-set lemma, so the check is independent of the blocked
-    solver.
+    """Check Der1 over all pairs i < j, and over (i, i) where the Leibniz
+    diagonal T[i][i] is nonzero, and, for genuine superalgebras, Der2 over
+    odd basis elements, on the rows T of `g.brk`.  Every pair is checked,
+    without the generating-set lemma, so the check is independent of the
+    blocked solver.
 
     One row of T at a time: ad(De_i), the row of [De_i, e_j] over j, is
     the xor of the rows T[k] over the bits k of De_i; [e_i, De_j] is the
@@ -319,7 +382,7 @@ def is_derivation(g: StructureConstants, D: LinearMap) -> bool:
         ad = [0] * n
         for k in dbits[i]:
             ad = [a ^ b for a, b in zip(ad, T[k])]
-        for j in range(i + 1, n):
+        for j in range(i if Ti[i] else i + 1, n):
             defect = ad[j]
             for k in dbits[j]:
                 defect ^= Ti[k]

@@ -278,9 +278,19 @@ def _verify_witness(ext: ExtendedAlgebra, target: StructureConstants, cols: list
     return all(xor_rows(cols, g.sq[i]) == target.sq_vec(cols[i]) for i in g.odd_indices())
 
 
-def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoWitness | None:
+# identify_canonical tries every point of its affine solution set, 2^dim
+# of them; above this dimension it returns SEARCH_TRUNCATED instead (the
+# dimension is 0 on every consistent solve of the standard families of
+# sizes 4 to 7)
+MAX_KERNEL_DIM = 10
+SEARCH_TRUNCATED = "search-truncated"
+
+
+def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoWitness | str | None:
     """Attempt c -> 1, a -> a + beta(a)*1, D -> top + y with the
-    corrections solved linearly; verify the result completely.
+    corrections solved linearly; verify the result completely.  Returns
+    the witness, None when there is none, or SEARCH_TRUNCATED when the
+    solution set has dimension above MAX_KERNEL_DIM and was not searched.
 
     phi(D) gets no unit term: it would enter no relation, and with c
     central and s(c) = 0 a witness must have [1, x] = 0 and s(1) = 0 in
@@ -349,9 +359,10 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
     if solved is None:
         return None
     base, kernel = solved
+    if len(kernel) > MAX_KERNEL_DIM:
+        return SEARCH_TRUNCATED
     # enumerate the whole affine solution set to satisfy the quadratic
-    # conditions (squaring of D, and full verification); the kernel is
-    # empty, one candidate, for every standard family at sizes 4-6
+    # conditions (squaring of D, and full verification)
     for mask in range(1 << len(kernel)):
         s = base ^ xor_rows(kernel, mask)
         cols = [c ^ (unit if s & b else 0) for c, b in zip(cols0, beta)]

@@ -5,7 +5,8 @@ Vectors are plain Python ints used as bitmasks (bit i = coordinate i).
 system, from the small graded blocks to the dense naive derivation
 oracle (`BitMatrix`, its rows handed to one `SpanBasis`) and the
 ad-preimage solve (`liesuper.ad_preimage`, its generators marked by bits
-above the n*n map coordinates); `span_dim` is
+above the n*n map coordinates); `kernel_form` puts any basis of a
+kernel in the form `SpanBasis.kernel` gives it; `span_dim` is
 the rank-only kernel (forward elimination, no reduced rows) for callers
 that read only a dimension, such as the ad-rank spectra.  Pivoting is
 deterministic (each row's pivot is its lowest set bit), so echelon
@@ -19,6 +20,7 @@ from bisect import bisect_left
 __all__ = [
     "BitMatrix",
     "SpanBasis",
+    "kernel_form",
     "span_dim",
     "solve_affine",
     "flatten_cols",
@@ -154,6 +156,34 @@ class SpanBasis:
             for f in bit_indices((row ^ (1 << p)) & low):
                 dep[f] = dep.get(f, 0) | (1 << p)
         return [dep.get(f, 0) | (1 << f) for f in range(ncols) if not (self._pivmask >> f) & 1]
+
+
+def kernel_form(vectors) -> list[int]:
+    """The basis of span(vectors) in the form `SpanBasis.kernel` gives a
+    kernel: reduced echelon form with each row's highest set bit as its
+    pivot, rows in ascending pivot order.  (A kernel vector holds its free
+    column, its highest bit, and only pivot columns of the equations
+    below it, which are never free.)"""
+    rows: dict[int, int] = {}  # keyed by the pivot as bit index + 1
+    for v in vectors:
+        while v:
+            row = rows.get(v.bit_length())
+            if row is None:
+                rows[v.bit_length()] = v
+                break
+            v ^= row
+    out = []
+    pivmask = 0
+    for p in sorted(rows):
+        v = rows[p]
+        # the rows below are reduced, so each xor clears one pivot bit and
+        # sets no other
+        for q in bit_indices(v & pivmask):
+            v ^= rows[q + 1]
+        rows[p] = v
+        pivmask |= 1 << (p - 1)
+        out.append(v)
+    return out
 
 
 def span_dim(vectors) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .deriv import LinearMap
 from .gf2core import flatten_cols, span_dim, unflatten_cols
-from .liesuper import EVEN, StructureConstants, center, derived_series_dims
+from .liesuper import EVEN, StructureConstants, center, derived_series_dims, orbits, symmetries
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,25 @@ def ad_rank_spectrum(g: StructureConstants) -> tuple[int, ...]:
 
 def pair_rank_spectrum(g: StructureConstants) -> tuple[int, ...]:
     """Sorted multiset of ad-ranks over sums of two distinct basis
-    elements, the deterministic non-basis sample.  Only the columns in
-    the union of the two supports are xored."""
+    elements, the deterministic non-basis sample.  An automorphism of
+    `liesuper.symmetries(g)` keeps the ad-rank of e_i + e_j, so one pair
+    of each orbit is ranked and its rank counted once per pair of the
+    orbit.  Only the columns in the union of the two supports are xored."""
     ads = _basis_ads(g)
+    n = g.n
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    # at[i][j]: the index in pairs of {i, j}
+    at = [[0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(pairs):
+        at[i][j] = at[j][i] = k
+    perms = [[at[p[i]][p[j]] for i, j in pairs] for p in symmetries(g)]
     out = []
-    for i, a in enumerate(ads):
-        for b in ads[i + 1 :]:
-            cols = dict(a)
-            for k, c in b.items():
-                cols[k] = cols.get(k, 0) ^ c
-            out.append(span_dim(cols.values()))
+    for orbit in orbits(perms, len(pairs)):
+        i, j = pairs[orbit[0][0]]
+        cols = dict(ads[i])
+        for k, c in ads[j].items():
+            cols[k] = cols.get(k, 0) ^ c
+        out += [span_dim(cols.values())] * len(orbit)
     return tuple(sorted(out))
 
 

@@ -9,9 +9,11 @@ polarization: s(x) = sum s(e_i) + sum_{i<j} [e_i, e_j] over the support.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, permutations
+from itertools import chain, combinations, permutations
+from operator import itemgetter
 
 from . import superfunc as sf
 from .gf2core import SpanBasis, bit_indices, flatten_cols, transpose, xor_rows
@@ -662,6 +664,81 @@ def generating_set(g: StructureConstants) -> list[int]:
     if span.dim != g.n:
         raise ValueError("the bracket closure of the generating set does not span the algebra")
     return gens
+
+
+def symmetries(g: StructureConstants) -> list[tuple[int, ...]]:
+    """Basis permutations p, from swaps of the family's variables, that are
+    automorphisms of g as it stands: e_i -> e_p[i].
+
+    The candidates act on the monomials of meta["space"] at meta["masks"]:
+    the swap within each pair, the swap of two pairs whose variables have
+    the same parities, and the swap of two diagonals of the same parity.
+    One is kept when it permutes the basis, preserves parity, maps every
+    cell onto a cell, and satisfies brk[p i][p j] = p(brk[i][j]) for all
+    i, j (the Leibniz diagonal included) and, unless g is graded only,
+    sq[p i] = p(sq[i]) for odd i.  An object without that meta (a parsed
+    file, an extension, a quotient) has none."""
+    space, masks = g.meta.get("space"), g.meta.get("masks")
+    if space is None or masks is None:
+        return []
+    par = [v.parity for v in space.variables]
+    swaps = [((u, v),) for u, v in space.kind.pairs]
+    swaps += [((u1, u2), (v1, v2)) for (u1, v1), (u2, v2) in combinations(space.kind.pairs, 2)
+              if (par[u1], par[v1]) == (par[u2], par[v2])]
+    swaps += [((w1, w2),) for w1, w2 in combinations(space.kind.diagonals, 2) if par[w1] == par[w2]]
+    index = {m: i for i, m in enumerate(masks)}
+    cell = {k: c for c, k in enumerate(g.cells())}
+    cid = [cell[g.cell_key(i)] for i in range(g.n)]
+    size = Counter(cid)
+    values = set(chain.from_iterable(g.brk))
+    if not g.graded_only:
+        values.update(g.sq[i] for i in g.odd_indices())
+    out = []
+    for swap in swaps:
+        p = []
+        for m in masks:
+            for a, b in swap:
+                if (m >> a ^ m >> b) & 1:
+                    m ^= 1 << a | 1 << b
+            p.append(index.get(m))
+        if None in p or any(g.parity(p[i]) != g.parity(i) for i in range(g.n)):
+            continue
+        # p is a bijection, so a cell maps onto a cell when its image lies
+        # in one cell of its size
+        to: dict[int, int] = {}
+        if any(to.setdefault(cid[i], cid[p[i]]) != cid[p[i]] or size[cid[i]] != size[cid[p[i]]] for i in range(g.n)):
+            continue
+        img = {v: sum(1 << p[b] for b in bit_indices(v)) for v in values}
+        moved = itemgetter(*p)  # row r to (r[p[j]] for j)
+        if any(tuple(map(img.__getitem__, row)) != moved(g.brk[p[i]]) for i, row in enumerate(g.brk)):
+            continue
+        if not g.graded_only and any(g.sq[p[i]] != img[g.sq[i]] for i in g.odd_indices()):
+            continue
+        out.append(tuple(p))
+    return out
+
+
+def orbits(perms, npoints: int) -> list[list[tuple[int, int | None, int | None]]]:
+    """The orbits of range(npoints) under the group generated by the
+    permutations perms (lists over range(npoints)), in order of their least
+    point.  Each orbit is a breadth-first list of (point, parent, k) from
+    its least point (parent and k None), where perms[k] carries parent to
+    point."""
+    seen = bytearray(npoints)
+    out = []
+    for r in range(npoints):
+        if seen[r]:
+            continue
+        seen[r] = 1
+        orbit = [(r, None, None)]
+        for x, _, _ in orbit:  # the loop also visits the points it appends
+            for k, p in enumerate(perms):
+                y = p[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append((y, x, k))
+        out.append(orbit)
+    return out
 
 
 def inner_span(g: StructureConstants) -> SpanBasis:

@@ -344,6 +344,17 @@ def test_dex_rows_i_form_size4(tmp_path):
     assert by_label["D(-2)"].built
 
 
+def test_truncated_search_is_the_identified_cell(monkeypatch):
+    # with the cap below 0 even a 0-dimensional solution set is not
+    # searched; the top row says so in the table and the CSV
+    monkeypatch.setattr(cli.dx, "MAX_KERNEL_DIM", -1)
+    fam = ls.family("h", "Pi", 0, 4)
+    an, rows, _ = cli.dex_family(fam)
+    assert [r.identified for r in rows if r.identified] == ["search-truncated"]
+    assert "search-truncated" in cli.render_dex_table(fam, an, rows)
+    assert ",search-truncated," in cli.render_dex_csv(fam, rows)
+
+
 def test_cmd_identify_and_fingerprint(tmp_path, capsys):
     out = str(tmp_path)
     args = ["--form", "Pi", "--even", "0", "--odd", "4", "--out", out]
@@ -359,6 +370,8 @@ def test_cmd_bench_small(capsys):
     assert run_cli("bench", "--family", "h", "--form", "Pi", "--even", "0", "--odd", "4") == 0
     text = capsys.readouterr().out
     assert "speedup" in text
+    # the symmetries of hPi(0|4) leave 14 of its 55 blocks to solve
+    assert "blocks 55 solved 14 " in text
 
 
 def test_console_entrypoint():

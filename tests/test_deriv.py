@@ -162,9 +162,13 @@ def test_blocked_stats_recorded(built):
     assert ds.block_stats["path"] == "blocked"
     assert ds.block_stats["blocks"] > 1
     assert ds.block_stats["max_block"] >= 1
-    # every unknown sits in one block, so the block ranks add up to n^2 - dim
+    # rows and distinct count what was emitted for the solved blocks, whose
+    # ranks add up to solved_rank; every unknown sits in one block, so the
+    # ranks of all blocks, copied ones included, add up to n^2 - dim
     st = ds.block_stats
-    assert st["rows"] >= st["distinct"] >= st["rank"] == g.n * g.n - ds.dim
+    assert st["blocks"] > st["solved"] >= 1
+    assert st["rows"] >= st["distinct"] >= st["solved_rank"]
+    assert st["rank"] == g.n * g.n - ds.dim > st["solved_rank"]
 
 
 def test_dropping_a_generator_is_caught(built, monkeypatch):
@@ -240,3 +244,36 @@ def test_outer_count_0_6_includes_extra_class(built):
     assert len(extra) == 1
     assert dv.is_derivation(g, extra[0])
     assert not ls.inner_span(g).contains(extra[0].as_vec())
+
+
+def _maps(space):
+    return [(d.shift, d.cols) for d in space.all], sorted((k, [d.cols for d in v]) for k, v in space.outer_reps.items())
+
+
+def test_symmetric_solve_equals_the_solve_of_every_block(monkeypatch):
+    # the 41 standard families of sizes 4 to 7: copying each solved block's
+    # kernel along the symmetries gives the maps, in order, of solving
+    # every block
+    solved = {}
+    for total in (4, 5, 6, 7):
+        for fam in cli.standard_families(total):
+            g, _ = ls.build_algebra(fam)
+            sym = dv.derivation_space_blocked(g)
+            monkeypatch.setattr(dv, "symmetries", lambda h: [])
+            full = dv.derivation_space_blocked(g)
+            monkeypatch.undo()
+            assert _maps(sym) == _maps(full), fam.name
+            assert full.block_stats["solved"] == full.block_stats["blocks"]
+            assert sym.block_stats["rank"] == full.block_stats["rank"] == g.n * g.n - full.dim
+            solved[fam.name] = sym.block_stats["solved"]
+    assert len(solved) == 41 and solved["hPi(1)(0|7)"] == 84
+
+
+def test_flipped_square_keeps_blocked_equal_to_naive():
+    # a square that breaks some symmetries (see test_liesuper): the solver
+    # must not copy kernels along them, since Der2 reads the squares
+    g, _ = ls.build_algebra(ls.family("h", "I", 0, 6))
+    masks = g.meta["masks"]
+    g.sq[masks.index(0b010011)] ^= 1 << masks.index(0b110011)
+    assert len(ls.symmetries(g)) == 2
+    assert dv.spaces_equal(dv.derivation_space_naive(g), dv.derivation_space_blocked(g))

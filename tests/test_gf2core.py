@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 from char2lie.gf2core import (
     SpanBasis,
     echelon_complement,
+    kernel_form,
     solve_affine,
     span_dim,
     span_equal,
     transpose,
+    xor_rows,
 )
 
 
@@ -223,3 +225,18 @@ def test_span_kernel_and_solve_agree_with_dense_gauss_jordan(system):
         assert _bits(x, ncols) == expect
         assert all((r & x).bit_count() & 1 == b for r, b in eqs)
         assert kernel == span.kernel(ncols)
+
+
+def test_kernel_form_is_the_kernel_basis():
+    # any basis of a kernel, recombined by a random invertible (unitriangular,
+    # shuffled) matrix, comes back as SpanBasis.kernel's own basis
+    rng = random.Random(7)
+    for _ in range(500):
+        ncols = rng.randrange(1, 40)
+        dens = rng.random()
+        span = SpanBasis()
+        span.extend(sum(1 << c for c in range(ncols) if rng.random() < dens) for _ in range(rng.randrange(45)))
+        kernel = span.kernel(ncols)
+        mixed = [xor_rows(kernel, rng.getrandbits(i + 1) | 1 << i) for i in range(len(kernel))]
+        rng.shuffle(mixed)
+        assert kernel_form(mixed + [0, mixed[0] if mixed else 0]) == kernel

@@ -6,6 +6,7 @@ from char2lie import deriv as dv
 from char2lie import doubleext as dx
 from char2lie import invariants as inv
 from char2lie import liesuper as ls
+from char2lie.gf2core import span_dim
 
 
 def build_ext(built, args, label, m=0):
@@ -115,3 +116,31 @@ def test_po05_m_fingerprints_reported(built):
     e1 = build_ext(built, ("h", "Pi", 0, 5), "Dtop", m=1)
     verdict = inv.distinguish(e0.alg, e1.alg)
     assert verdict == "inconclusive" or verdict.component
+
+
+def _all_pairs_rank_spectrum(g):
+    """The reference for the one-rank-per-orbit computation: the loop the
+    library used before, one rank per pair i < j."""
+    ads = inv._basis_ads(g)
+    out = []
+    for i, a in enumerate(ads):
+        for b in ads[i + 1 :]:
+            cols = dict(a)
+            for k, c in b.items():
+                cols[k] = cols.get(k, 0) ^ c
+            out.append(span_dim(cols.values()))
+    return tuple(sorted(out))
+
+
+def test_pair_rank_spectrum_matches_all_pairs():
+    # the 41 standard families of sizes 4 to 7 and the po/b objects of sizes
+    # 4 and 5 (Leibniz and graded-only ones included)
+    from char2lie import cli
+
+    objects = []
+    for total in (4, 5, 6, 7):
+        objects += [ls.build_algebra(f)[0] for f in cli.standard_families(total)]
+    for total in (4, 5):
+        objects += [ls.poisson_algebra(f.space())[0] for f in cli.standard_families(total)]
+    for g in objects:
+        assert inv.pair_rank_spectrum(g) == _all_pairs_rank_spectrum(g)

@@ -305,3 +305,70 @@ def test_generating_set_spans_and_is_deterministic(total):
         assert gens == sorted(gens, key=lambda k: (abs(g.basis[k].degree), k)), fam.name
         assert len(set(gens)) == len(gens) < g.n, fam.name
         assert _right_normed_span(g, gens) == g.n, fam.name
+
+
+# -- variable symmetries -------------------------------------------------------
+
+
+def _bracket_preserved(g, p):
+    """brk[p i][p j] = p(brk[i][j]) for every i, j, bit by bit."""
+    def image(v):
+        return sum(1 << p[b] for b in range(g.n) if v >> b & 1)
+
+    return all(g.brk[p[i]][p[j]] == image(g.brk[i][j]) for i in range(g.n) for j in range(g.n))
+
+
+def _swap_perm(g, swap):
+    """The basis permutation of a variable permutation given as {var: var}."""
+    index = {m: i for i, m in enumerate(g.meta["masks"])}
+    return tuple(index[sum(1 << swap.get(b, b) for b in range(8) if m >> b & 1)] for m in g.meta["masks"])
+
+
+def test_le_within_pair_swaps_flip_parity():
+    # le(2|2) pairs (pi1, q1) and (pi2, q2): all three candidates keep the
+    # bracket, but swapping q with pi changes the parity, so only the swap
+    # of the two pairs is an automorphism
+    g, _ = ls.build_algebra(ls.family("le", n=2))
+    (u1, v1), (u2, v2) = g.meta["space"].kind.pairs
+    within = [_swap_perm(g, {u1: v1, v1: u1}), _swap_perm(g, {u2: v2, v2: u2})]
+    across = _swap_perm(g, {u1: u2, u2: u1, v1: v2, v2: v1})
+    assert all(_bracket_preserved(g, p) for p in within + [across])
+    assert all(any(g.parity(p[i]) != g.parity(i) for i in range(g.n)) for p in within)
+    assert ls.symmetries(g) == [across]
+
+
+def test_symmetries_are_automorphisms_and_need_the_meta():
+    for total in (4, 5, 6):
+        for fam in cli.standard_families(total):
+            g, _ = ls.build_algebra(fam)
+            perms = ls.symmetries(g)
+            assert perms, fam.name
+            for p in perms:
+                assert sorted(p) == list(range(g.n)) and _bracket_preserved(g, p), fam.name
+                assert all(g.parity(p[i]) == g.parity(i) for i in range(g.n))
+                if not g.graded_only:
+                    assert all(g.sq[p[i]] == sum(1 << p[b] for b in range(g.n) if g.sq[i] >> b & 1)
+                               for i in g.odd_indices())
+    g, _ = ls.build_algebra(ls.family("h", "Pi", 0, 4))
+    bare = ls.StructureConstants(g.basis, g.brk, g.sq, meta={"family": g.meta["family"]})
+    assert ls.symmetries(bare) == []
+
+
+def test_symmetries_reject_a_flipped_square():
+    # hI(0|6) with xi1.eta1.theta2.theta1 added to the square of
+    # xi1.eta1.theta1: the swaps that move theta1 or the pair (xi1, eta1)
+    # no longer commute with the squaring
+    fam = ls.family("h", "I", 0, 6)
+    g, _ = ls.build_algebra(fam)
+    masks = g.meta["masks"]
+    before = ls.symmetries(g)
+    g.sq[masks.index(0b010011)] ^= 1 << masks.index(0b110011)
+    after = ls.symmetries(g)
+    assert (len(before), len(after)) == (4, 2) and set(after) < set(before)
+
+
+def test_orbits_breadth_first_from_the_least_point():
+    # on 0..5: (0 1)(2 3) and (1 2) join 0..3; 4 and 5 stay fixed
+    perms = [[1, 0, 3, 2, 4, 5], [0, 2, 1, 3, 4, 5]]
+    assert ls.orbits(perms, 6) == [[(0, None, None), (1, 0, 0), (2, 1, 1), (3, 2, 0)],
+                                   [(4, None, None)], [(5, None, None)]]

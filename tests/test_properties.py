@@ -591,14 +591,10 @@ def test_identify_canonical_matches_reference():
     assert (attempts, found) == (56, 17)
 
 
-def test_identify_canonical_first_witness_follows_unknown_order():
-    # On the standard families the beta and y corrections are unique (each
-    # a is perfect and centerless; only the reference's nu is free), so
-    # their attempts do not see the order of the unknowns.  Here the row beta_2 + y_2 = 1
-    # has two solutions that both verify: ext has [e1, e2] = c and
-    # [D, e1] = e2, the target [x1, x2] = 1 and [top, x1] = x2 + 1.  With
-    # beta before y the rref pivots on beta_2, giving e2 -> x2 + 1 and
-    # D -> top; pivoting on y_2 would give e2 -> x2 and D -> top + x2.
+def _two_solution_pair():
+    """A hand-made extension and target whose row beta_2 + y_2 = 1 has two
+    solutions that both verify: ext has [e1, e2] = c and [D, e1] = e2, the
+    target [x1, x2] = 1 and [top, x1] = x2 + 1."""
     space = ls.family("h", "Pi", 0, 2).space()
 
     def algebra(names, brk12, brk31, meta):
@@ -612,25 +608,49 @@ def test_identify_canonical_first_witness_follows_unknown_order():
 
     ext = dx.ExtendedAlgebra(algebra("c e1 e2 D".split(), 0b0001, 0b0100, {"extension_of": "hand-made"}), None, {})
     target = algebra("1 x1 x2 top".split(), 0b0001, 0b0101, {"space": space, "masks": (0, 1, 2, 3)})
+    return ext, target
+
+
+def test_identify_canonical_first_witness_follows_unknown_order():
+    # On the standard families the beta and y corrections are unique (each
+    # a is perfect and centerless; only the reference's nu is free), so
+    # their attempts do not see the order of the unknowns.  In the
+    # two-solution pair, with beta before y the rref pivots on beta_2,
+    # giving e2 -> x2 + 1 and D -> top; pivoting on y_2 would give e2 -> x2
+    # and D -> top + x2.
+    ext, target = _two_solution_pair()
     w = dx.identify_canonical(ext, target)
     assert w.columns == _ref_identify(ext, target) == (0b0001, 0b0010, 0b0101, 0b1000)
 
 
+def test_identify_canonical_truncates_above_the_kernel_cap(monkeypatch):
+    # the linear system of the two-solution pair leaves a 2-dimensional
+    # solution set (four candidates, two of which verify): above the cap it
+    # is not searched, and the verdict says so instead of "no witness"
+    ext, target = _two_solution_pair()
+    for cap in (0, 1):
+        monkeypatch.setattr(dx, "MAX_KERNEL_DIM", cap)
+        assert dx.identify_canonical(ext, target) == dx.SEARCH_TRUNCATED == "search-truncated"
+    monkeypatch.setattr(dx, "MAX_KERNEL_DIM", 2)
+    assert dx.identify_canonical(ext, target).columns == (0b0001, 0b0010, 0b0101, 0b1000)
+
+
 # -- differential check of is_derivation -------------------------------------
 # The reference is the all-pairs loop the library used before it checked one
-# table row at a time: for every pair i < j, D applied to brk[i][j] against
-# two bracket_vec calls (which read the Leibniz diagonal), then Der2 on the
-# odd basis elements unless g is graded only.  The Leibniz Poisson objects
-# make each of three mutants of the row-at-a-time check disagree with it:
-# one that reads brk with the diagonal zeroed, one that starts j at i, and
-# one that drops Der2; the graded-only desuperization catches the
-# last one on its own (4 maps).
+# table row at a time: for every pair i < j, and i = j where the Leibniz
+# diagonal brk[i][i] is nonzero, D applied to brk[i][j] against two
+# bracket_vec calls (which read the Leibniz diagonal), then Der2 on the odd
+# basis elements unless g is graded only.  The Leibniz Poisson objects make
+# each of three mutants of the row-at-a-time check disagree with it: one
+# that reads brk with the diagonal zeroed, one that starts j at i + 1 (the
+# unit map 1 -> 1 of po hII(2|2) then passes), and one that drops Der2; the
+# graded-only desuperization catches the last one on its own (4 maps).
 
 
 def _ref_is_derivation(g, D):
     n = g.n
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in range(i if g.brk[i][i] else i + 1, n):
             lhs = _ref_apply(D.cols, g.brk[i][j])
             if lhs != g.bracket_vec(D.cols[i], 1 << j) ^ g.bracket_vec(1 << i, D.cols[j]):
                 return False
@@ -697,8 +717,8 @@ def test_is_derivation_matches_reference_on_leibniz_and_graded_objects():
     rng = random.Random(13)
     # the Leibniz Poisson objects of size 4: the naive space, the rows of
     # brk and the maps e_1 -> e_t (1 = [w, w] for a diagonal w), with
-    # one-bit flips; only the pairs i < j are Der1 pairs, so at hII(2|2)
-    # 1 -> 1 passes although D[w, w] = 1 != [Dw, w] + [w, Dw] = 0
+    # one-bit flips; (w, w) is a Der1 pair, so no unit map passes: at
+    # hII(2|2) 1 -> 1 has D[w, w] = 1 != [Dw, w] + [w, Dw] = 0
     passing_unit_maps = []
     for fam in cli.standard_families(4):
         po, _ = ls.poisson_algebra(fam.space())
@@ -709,7 +729,7 @@ def test_is_derivation_matches_reference_on_leibniz_and_graded_objects():
         units = [dv.LinearMap(tuple(1 << t if j == one else 0 for j in range(po.n)), 0, (), 0) for t in range(po.n)]
         _verdicts(po, _with_flips(dv.derivation_space_naive(po).all + rows, rng), fam.name)
         passing_unit_maps += [(fam.name, t) for t, ok in enumerate(_verdicts(po, units, fam.name)) if ok]
-    assert passing_unit_maps == [("hII(1)(2|2)", 0)]
+    assert passing_unit_maps == []
     # the graded-only desuperization of po hPi(0|4): its Der1 solutions on
     # the super object, where Der2 rejects some of them
     po, _ = ls.poisson_algebra(ls.family("h", "Pi", 0, 4).space())
