@@ -205,7 +205,7 @@ def derivation_space_naive(g: StructureConstants) -> DerivationSpace:
     algebras (desuperizations) contribute no squaring equations."""
     n = g.n
     bit = [[1 << (s * n + t) for t in range(n)] for s in range(n)]
-    mat = BitMatrix.from_int_rows([row for *_, row in _equations(g, bit)], n * n)
+    mat = BitMatrix.from_int_rows({row for *_, row in _equations(g, bit)}, n * n)
     maps = _homogenize(g, mat.nullspace_basis())
     return _finish(g, maps, {"path": "naive", "blocks": 1, "max_block": n * n})
 

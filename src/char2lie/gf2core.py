@@ -3,14 +3,21 @@
 Vectors are plain Python ints used as bitmasks (bit i = coordinate i).
 `SpanBasis` keeps their reduced row echelon form and eliminates every
 system, from the small graded blocks to the dense naive derivation
-oracle (`BitMatrix`, its rows handed to one `SpanBasis`) and the
-ad-preimage solve (`liesuper.ad_preimage`, its generators marked by bits
-above the n*n map coordinates); `kernel_form` puts any basis of a
-kernel in the form `SpanBasis.kernel` gives it; `span_dim` is
-the rank-only kernel (forward elimination, no reduced rows) for callers
-that read only a dimension, such as the ad-rank spectra.  Pivoting is
-deterministic (each row's pivot is its lowest set bit), so echelon
-forms, nullspace bases and solutions are reproducible across runs.
+oracle (`BitMatrix`, the distinct rows of the naive equations handed to
+one `SpanBasis`) and the ad-preimage solve (`liesuper.ad_preimage`, its
+generators marked by bits above the n*n map coordinates).
+`SpanBasis.extend` eliminates a batch of rows in two steps: a forward
+pass (`_forward`) that xors each vector with the row keyed by its lowest
+set bit until it is zero or has a new lowest bit, then one
+back-substitution from the highest pivot down; `SpanBasis.add` is the
+eager single-vector insert for callers that need to know whether the
+rank grew.  `kernel_form` puts any basis of a kernel in the form
+`SpanBasis.kernel` gives it; `span_dim` is the rank-only kernel (the
+same forward pass, no reduced rows) for callers that read only a
+dimension, such as the ad-rank spectra.  Pivoting is deterministic (each
+row's pivot is its lowest set bit), and a span has one reduced echelon
+form whatever order its rows arrive in, so echelon forms, nullspace
+bases and solutions are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -87,6 +94,7 @@ class BitMatrix:
 
     @classmethod
     def from_int_rows(cls, int_rows, cols: int) -> "BitMatrix":
+        """The system of the given rows (any iterable, read once)."""
         return cls(list(int_rows), cols)
 
     def nullspace_basis(self) -> list[int]:
@@ -101,7 +109,11 @@ class SpanBasis:
     echelon form (pivot = lowest set bit), rows in ascending pivot order.
 
     This is the eliminator for every system: insert the equation rows,
-    then read off `kernel`.
+    then read off `kernel`.  `extend` takes a batch (forward pass, then
+    one back-substitution) and writes `pivots`, `rows` and the pivot mask
+    only when the batch is consumed, so it must not be fed a generator
+    that reads this same span; `add` inserts one vector eagerly and says
+    whether the rank grew.
     """
 
     def __init__(self):
@@ -140,8 +152,27 @@ class SpanBasis:
         return True
 
     def extend(self, vs) -> None:
-        for v in vs:
-            self.add(v)
+        """Insert a batch of generators: forward-eliminate each against the
+        rows keyed by their pivots, then back-substitute once."""
+        rows = {p + 1: row for p, row in zip(self.pivots, self.rows)}
+        if _forward(rows, vs) == len(self.rows):
+            return
+        keys = sorted(rows)
+        pivmask = 0
+        for k in reversed(keys):
+            # the rows above are reduced: xoring one clears its own pivot
+            # bit of v and no other, so the pivots to clear are known up front
+            v = rows[k]
+            hits = v & pivmask
+            while hits:
+                low = hits & -hits
+                v ^= rows[low.bit_length()]
+                hits ^= low
+            rows[k] = v
+            pivmask |= 1 << (k - 1)
+        self.pivots = [k - 1 for k in keys]
+        self.rows = [rows[k] for k in keys]
+        self._pivmask = pivmask
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
@@ -186,13 +217,11 @@ def kernel_form(vectors) -> list[int]:
     return out
 
 
-def span_dim(vectors) -> int:
-    """Dimension of the span of int-bitmask vectors, by forward elimination
-    only: each kept row is keyed by its lowest set bit (as bit index + 1),
-    and a vector is xored with the row keyed by its own lowest bit until
-    it is zero or has a new lowest bit.  No back-reduction, pivot list or
-    combinations."""
-    rows: dict[int, int] = {}
+def _forward(rows: dict[int, int], vectors) -> int:
+    """Forward elimination into `rows`, each kept row keyed by its lowest
+    set bit (as bit index + 1): a vector is xored with the row keyed by its
+    own lowest bit until it is zero or has a new lowest bit, and is then
+    kept.  Returns the number of rows."""
     for v in vectors:
         while v:
             low = (v & -v).bit_length()
@@ -202,6 +231,12 @@ def span_dim(vectors) -> int:
                 break
             v ^= row
     return len(rows)
+
+
+def span_dim(vectors) -> int:
+    """Dimension of the span of int-bitmask vectors, by forward elimination
+    only (`_forward`): no back-reduction, pivot list or combinations."""
+    return _forward({}, vectors)
 
 
 def solve_affine(rows, ncols: int) -> tuple[int, list[int]] | None:

@@ -227,6 +227,61 @@ def test_span_kernel_and_solve_agree_with_dense_gauss_jordan(system):
         assert kernel == span.kernel(ncols)
 
 
+def _extend_one_at_a_time(span: SpanBasis, vs) -> None:
+    """The former `SpanBasis.extend`: one eager `add` per vector, each
+    back-reducing every stored row.  The reference for the batch
+    elimination."""
+    for v in vs:
+        span.add(v)
+
+
+def _solve_affine_one_at_a_time(eqs, ncols: int):
+    """`solve_affine` read off a span filled by `_extend_one_at_a_time`."""
+    span = SpanBasis()
+    _extend_one_at_a_time(span, (coeff | (rhs << ncols) for coeff, rhs in eqs))
+    if span.pivots and span.pivots[-1] >= ncols:
+        return None
+    x = sum(1 << p for p, row in zip(span.pivots, span.rows) if (row >> ncols) & 1)
+    return x, span.kernel(ncols)
+
+
+@st.composite
+def _batches(draw):
+    """(width, rows already in the span, batch, rhs bits of the batch): rows
+    of 1-300 bits, dense, of weight at most 3, or zero, and a batch that
+    repeats some of its own rows and of the rows already held."""
+    width = draw(st.sampled_from([1, 2, 63, 64, 65, 128, 300]) | st.integers(1, 300))
+    sparse = st.sets(st.integers(0, width - 1), max_size=3).map(lambda s: sum(1 << i for i in s))
+    row = st.integers(0, (1 << width) - 1) | sparse | st.just(0)
+    before = draw(st.lists(row, max_size=20))
+    fresh = draw(st.lists(row, max_size=40))
+    pool = before + fresh
+    dups = draw(st.lists(st.sampled_from(pool), max_size=10)) if pool else []
+    batch = draw(st.permutations(fresh + dups))
+    rhs = draw(st.lists(st.integers(0, 1), min_size=len(batch), max_size=len(batch)))
+    return width, before, batch, rhs
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(_batches(), st.booleans())
+def test_extend_batch_equals_one_add_at_a_time(case, as_generator):
+    width, before, batch, rhs = case
+    ref = SpanBasis()
+    got = SpanBasis()
+    held = []
+    for vs in (before, batch):
+        held += vs
+        _extend_one_at_a_time(ref, vs)
+        got.extend((v for v in vs) if as_generator else vs)
+        assert got.pivots == ref.pivots
+        assert got.rows == ref.rows
+        assert got.dim == ref.dim == span_dim(held)
+        assert got.kernel(width) == ref.kernel(width)
+        assert all(got.contains(v) for v in vs)
+    eqs = list(zip(batch, rhs))
+    assert solve_affine(eqs, width) == _solve_affine_one_at_a_time(eqs, width)
+
+
 def test_kernel_form_is_the_kernel_basis():
     # any basis of a kernel, recombined by a random invertible (unitriangular,
     # shuffled) matrix, comes back as SpanBasis.kernel's own basis
