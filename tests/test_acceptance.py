@@ -417,13 +417,20 @@ def test_criterion7_solver_equivalence_and_speedup(registry):
     mid = time.perf_counter()
     fam6 = ls.family("h", "Pi", 0, 6)
     g6, _ = ls.build_algebra(fam6)
-    t1 = time.perf_counter()
-    naive6 = dv.derivation_space_naive(g6)
-    t2 = time.perf_counter()
-    blocked6 = dv.derivation_space_blocked(g6)
-    t3 = time.perf_counter()
+
+    def best_of_three(solve):
+        # the least of three wall times, so that one stall of a shared
+        # host does not decide the ratio
+        times = []
+        for _ in range(3):
+            t = time.perf_counter()
+            space = solve(g6)
+            times.append(time.perf_counter() - t)
+        return space, min(times)
+
+    naive6, naive_s = best_of_three(dv.derivation_space_naive)
+    blocked6, blocked_s = best_of_three(dv.derivation_space_blocked)
     assert dv.spaces_equal(naive6, blocked6)
-    naive_s, blocked_s = t2 - t1, t3 - t2
     assert blocked_s < 300, f"blocked solver took {blocked_s:.1f}s"
     assert naive_s / blocked_s >= 5, f"speedup only {naive_s / blocked_s:.1f}x"
     print(
