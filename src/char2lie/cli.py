@@ -388,9 +388,7 @@ def render_derivation_report(an: FamilyAnalysis) -> str:
         )
     # completeness finding: outer classes the closed-form generators miss
     span = SpanBasis()
-    span.extend(d.as_vec() for d in an.space.inner)
-    for _, D in dv.closed_form_generators(an.fam, an.g):
-        span.add(D.as_vec())
+    span.extend(d.as_vec() for d in an.space.inner + [D for _, D in dv.closed_form_generators(an.fam, an.g)])
     extra = []
     for key in sorted(an.space.outer_reps):
         miss = sum(1 for d in an.space.outer_reps[key] if not span.contains(d.as_vec()))

@@ -29,10 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import superfunc as sf
-from .gf2core import (BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, kernel_form, span_equal,
-                      transpose, unflatten_cols, xor_rows)
-from .liesuper import (BilinearFormTable, FamilySpec, StructureConstants, build_algebra, generating_set, inner_span,
-                       orbits, symmetries)
+from .gf2core import (BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, span_equal, transpose,
+                      unflatten_cols, xor_rows)
+from .liesuper import (BilinearFormTable, FamilySpec, StructureConstants, build_algebra, generating_set, orbits,
+                       symmetries)
 
 ShiftKey = tuple  # (degree shift, weight shift tuple, parity shift)
 
@@ -59,11 +59,6 @@ class LinearMap:
 
     def is_zero(self) -> bool:
         return not any(self.cols)
-
-    def __xor__(self, other: "LinearMap") -> "LinearMap":
-        if self.shift != other.shift:
-            raise ValueError("shift mismatch")
-        return LinearMap(tuple(a ^ b for a, b in zip(self.cols, other.cols)), *self.shift)
 
     def as_vec(self) -> int:
         return flatten_cols(self.cols, self.n)
@@ -202,32 +197,17 @@ def _equations(g: StructureConstants, bit, gens=None, keep=None):
 
 def derivation_space_naive(g: StructureConstants) -> DerivationSpace:
     """One dense linear system over all n^2 entries.  Graded-only
-    algebras (desuperizations) contribute no squaring equations."""
+    algebras (desuperizations) contribute no squaring equations.
+
+    When the table respects the grading, every equation lies in one
+    shift, so the rref of the system is block-diagonal and each kernel
+    vector is a map of one shift; otherwise `linear_map_from_cols` raises
+    ValueError on the first mixed one."""
     n = g.n
     bit = [[1 << (s * n + t) for t in range(n)] for s in range(n)]
     mat = BitMatrix.from_int_rows({row for *_, row in _equations(g, bit)}, n * n)
-    maps = _homogenize(g, mat.nullspace_basis())
+    maps = [linear_map_from_cols(g, unflatten_cols(v, n)) for v in mat.nullspace_basis()]
     return _finish(g, maps, {"path": "naive", "blocks": 1, "max_block": n * n})
-
-
-def _homogenize(g: StructureConstants, vecs: list[int]) -> list[LinearMap]:
-    """Split solution vectors into grading-homogeneous components and
-    return a deterministic reduced basis of homogeneous maps."""
-    n = g.n
-    per_shift: dict[ShiftKey, SpanBasis] = {}
-    for vec in vecs:
-        comp: dict[ShiftKey, list[int]] = {}
-        for j, col in enumerate(unflatten_cols(vec, n)):
-            kj = g.cell_key(j)
-            for t in bit_indices(col):
-                comp.setdefault(cell_shift(kj, g.cell_key(t)), [0] * n)[j] |= 1 << t
-        for s, cols in comp.items():
-            per_shift.setdefault(s, SpanBasis()).add(flatten_cols(cols, n))
-    out = []
-    for s in sorted(per_shift):
-        for row in per_shift[s].rows:
-            out.append(LinearMap.from_vec(row, n, *s))
-    return out
 
 
 def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> DerivationSpace:
@@ -249,15 +229,19 @@ def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> Deriva
 def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     """Solve one independent system per grading shift, with Der1 only on
     the pairs of `generating_set(g)` (see the module docstring).  Raises
-    ValueError on a Leibniz object, where that reduction does not hold.
+    ValueError on a Leibniz object, where that reduction does not hold,
+    and on a table whose brackets (or squares of odd elements, unless g
+    is graded only) leave the cell of the grading, where the equations do
+    not split into blocks.
 
     The automorphisms of `liesuper.symmetries(g)` permute the shifts, and
     D -> p D p^-1 carries the derivations of a shift onto those of its
     image.  So only the first block, in sorted shift order, of each orbit
     is solved; every other block gets the kernel of the block it is
-    reached from, its entries (t, s) moved to (p t, p s) and the result
-    put in the form of `SpanBasis.kernel` (`gf2core.kernel_form`), so the
-    maps are those of a solve of every block."""
+    reached from, its entries (t, s) moved to (p t, p s).  Each block's
+    kernel, solved or copied, is put through one `SpanBasis` and its
+    reduced rows are the block's maps, so the maps are those of a solve
+    of every block."""
     if g.is_leibniz:
         raise ValueError("the blocked solver needs a Lie object (Jacobi); this one has a Leibniz diagonal")
     n = g.n
@@ -292,6 +276,18 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
                     ents.append((t, s))
 
     kc = [ccode[g.cell_key(i)] for i in range(n)]
+    # the mask of each cell by its code and parity; [e_i, e_j] must lie in
+    # the cell of code kc[i] + kc[j] and parity par[i] ^ par[j], and the
+    # square of an odd e_i in the even cell of code 2 kc[i]
+    cell_masks = [(kc[ts[0]], par[ts[0]], sum(1 << t for t in ts)) for ts in cells.values()]
+    cell_of = {ct | pt: mask for ct, pt, mask in cell_masks}
+    odd = 0 if g.graded_only else g.parity_mask(sf.ODD)
+    for i, row in enumerate(g.brk):
+        ki, pi = kc[i], par[i]
+        stray = any(v & ~cell_of.get((ki + kc[j]) | (pi ^ par[j]), 0) for j, v in enumerate(row) if v)
+        if stray or (odd >> i & 1 and g.sq[i] & ~cell_of.get(2 * ki, 0)):
+            raise ValueError(f"the blocked solver needs a graded table; a product of e{i} leaves its cell")
+
     # the blocks in sorted shift order, and where each symmetry sends them
     order = sorted(blocks, key=lambda c: blocks[c][0])
     place = {c: b for b, c in enumerate(order)}
@@ -303,7 +299,6 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
 
     # the output coordinates t of a pair (i, j) whose equations fall in a
     # solved block, one mask per (code sum, parity) of the pair
-    cell_masks = [(kc[ts[0]], par[ts[0]], sum(1 << t for t in ts)) for ts in cells.values()]
     keep_masks: dict[int, int] = {}
 
     def keep(i: int, j: int) -> int:
@@ -337,13 +332,17 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
                         t, s = src[e]
                         w |= bit[p[s]][p[t]]
                     moved.append(w)
-                kernels[b] = kernel_form(moved)
+                kernels[b] = moved
 
     maps = []
     rank = 0
     for c, kernel in zip(order, kernels):
         skey, ents = blocks[c]
         rank += len(ents) - len(kernel)
+        if kernel:
+            span = SpanBasis()
+            span.extend(kernel)
+            kernel = span.rows
         for svec in kernel:
             cols = [0] * n
             for e in bit_indices(svec):
@@ -393,19 +392,6 @@ def is_derivation(g: StructureConstants, D: LinearMap) -> bool:
         if odd >> i & 1 and xor_rows(cols, g.sq[i]) != ad[i]:
             return False
     return True
-
-
-def preserves_nis(D: LinearMap, B: BilinearFormTable, g: StructureConstants) -> bool:
-    """B(Dei,ej) + B(ei,Dej) = 0 for all pairs, and B(Dei,ei) = 0 for odd
-    ei (the quadratic condition follows on basis elements by
-    polarization; it is vacuous for desuperizations)."""
-    return bilinear_invariant(D, B) and (g.graded_only or extra_condition(D, B, g))
-
-
-def cohomology_equal(D1: LinearMap, D2: LinearMap, g: StructureConstants) -> bool:
-    """True iff D1 + D2 is an inner derivation (ValueError when the shifts
-    differ)."""
-    return inner_span(g).contains((D1 ^ D2).as_vec())
 
 
 # ---------------------------------------------------------------------------

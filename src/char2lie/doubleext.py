@@ -23,7 +23,6 @@ from .liesuper import (
     ad_preimage,
     center,
     compose_cols,
-    inner_span,
     odd_squares_span,
     special_center,
 )
@@ -244,11 +243,6 @@ def recognition(g: StructureConstants, B: BilinearFormTable) -> RecognitionRepor
         center_odd=len(z_od),
         witnesses={"rec2": wit2, "rec4": wit4},
     )
-
-
-def nontrivial_cocycle(a: StructureConstants, B: BilinearFormTable, D: LinearMap) -> bool:
-    """The central extension by B(D., .) is nontrivial iff D is outer."""
-    return not inner_span(a).contains(D.as_vec())
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,13 @@ Vectors are plain Python ints used as bitmasks (bit i = coordinate i).
 system, from the small graded blocks to the dense naive derivation
 oracle (`BitMatrix`, the distinct rows of the naive equations handed to
 one `SpanBasis`) and the ad-preimage solve (`liesuper.ad_preimage`, its
-generators marked by bits above the n*n map coordinates).
-`SpanBasis.extend` eliminates a batch of rows in two steps: a forward
-pass (`_forward`) that xors each vector with the row keyed by its lowest
-set bit until it is zero or has a new lowest bit, then one
-back-substitution from the highest pivot down; `SpanBasis.add` is the
-eager single-vector insert for callers that need to know whether the
-rank grew.  `kernel_form` puts any basis of a kernel in the form
-`SpanBasis.kernel` gives it; `span_dim` is the rank-only kernel (the
-same forward pass, no reduced rows) for callers that read only a
+generators marked by bits above the n*n map coordinates).  There is one
+elimination: `SpanBasis.extend` runs a batch through the forward pass
+(`_forward`), which xors each vector with the row keyed by its lowest
+set bit until it is zero or has a new lowest bit, and then
+back-substitutes once from the highest pivot down; `SpanBasis.add` is
+`reduce` and a one-vector `extend`.  `span_dim` is the rank-only kernel
+(the same forward pass, no reduced rows) for callers that read only a
 dimension, such as the ad-rank spectra.  Pivoting is deterministic (each
 row's pivot is its lowest set bit), and a span has one reduced echelon
 form whatever order its rows arrive in, so echelon forms, nullspace
@@ -22,12 +20,9 @@ bases and solutions are reproducible across runs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 __all__ = [
     "BitMatrix",
     "SpanBasis",
-    "kernel_form",
     "span_dim",
     "solve_affine",
     "flatten_cols",
@@ -106,24 +101,33 @@ class BitMatrix:
 
 class SpanBasis:
     """Incremental GF(2) span of int-bitmask vectors, kept in reduced
-    echelon form (pivot = lowest set bit), rows in ascending pivot order.
+    echelon form (pivot = lowest set bit).
 
     This is the eliminator for every system: insert the equation rows,
-    then read off `kernel`.  `extend` takes a batch (forward pass, then
-    one back-substitution) and writes `pivots`, `rows` and the pivot mask
-    only when the batch is consumed, so it must not be fed a generator
-    that reads this same span; `add` inserts one vector eagerly and says
-    whether the rank grew.
+    then read off `kernel`.  The reduced rows live in one dict keyed by
+    pivot + 1, the form `_forward` fills; `pivots` and `rows` are
+    ascending read-only views of it.  `extend` runs the forward pass into
+    that dict and back-substitutes once; the rows are reduced and the
+    pivot mask is current again only when the batch is consumed, so it
+    must not be fed a generator that reads this same span.  `add` inserts
+    one vector and says whether the rank grew.
     """
 
     def __init__(self):
-        self.pivots: list[int] = []
-        self.rows: list[int] = []
+        self._rows: dict[int, int] = {}  # reduced rows, keyed by pivot + 1
         self._pivmask = 0
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def pivots(self) -> list[int]:
+        return [k - 1 for k in sorted(self._rows)]
+
+    @property
+    def rows(self) -> list[int]:
+        return [self._rows[k] for k in sorted(self._rows)]
 
     def reduce(self, v: int) -> int:
         # rows are fully reduced: xoring one clears its own pivot bit of v
@@ -131,35 +135,26 @@ class SpanBasis:
         hits = v & self._pivmask
         while hits:
             low = hits & -hits
-            v ^= self.rows[bisect_left(self.pivots, low.bit_length() - 1)]
+            v ^= self._rows[low.bit_length()]
             hits ^= low
         return v
 
     def add(self, v: int) -> bool:
         """Insert a generator; returns True when the rank grows."""
         v = self.reduce(v)
-        if v == 0:
-            return False
-        p = (v & -v).bit_length() - 1
-        # back-reduce existing rows so the basis stays fully reduced
-        for i in range(len(self.rows)):
-            if (self.rows[i] >> p) & 1:
-                self.rows[i] ^= v
-        k = bisect_left(self.pivots, p)
-        self.pivots.insert(k, p)
-        self.rows.insert(k, v)
-        self._pivmask |= 1 << p
-        return True
+        if v:
+            self.extend((v,))
+        return bool(v)
 
     def extend(self, vs) -> None:
         """Insert a batch of generators: forward-eliminate each against the
         rows keyed by their pivots, then back-substitute once."""
-        rows = {p + 1: row for p, row in zip(self.pivots, self.rows)}
-        if _forward(rows, vs) == len(self.rows):
+        rows = self._rows
+        dim = len(rows)
+        if _forward(rows, vs) == dim:
             return
-        keys = sorted(rows)
         pivmask = 0
-        for k in reversed(keys):
+        for k in sorted(rows, reverse=True):
             # the rows above are reduced: xoring one clears its own pivot
             # bit of v and no other, so the pivots to clear are known up front
             v = rows[k]
@@ -170,8 +165,6 @@ class SpanBasis:
                 hits ^= low
             rows[k] = v
             pivmask |= 1 << (k - 1)
-        self.pivots = [k - 1 for k in keys]
-        self.rows = [rows[k] for k in keys]
         self._pivmask = pivmask
 
     def contains(self, v: int) -> bool:
@@ -183,38 +176,11 @@ class SpanBasis:
         ascending, holding the free column and the pivots that cancel it."""
         low = (1 << ncols) - 1
         dep: dict[int, int] = {}
-        for p, row in zip(self.pivots, self.rows):
-            for f in bit_indices((row ^ (1 << p)) & low):
-                dep[f] = dep.get(f, 0) | (1 << p)
+        for k, row in self._rows.items():
+            piv = 1 << (k - 1)
+            for f in bit_indices((row ^ piv) & low):
+                dep[f] = dep.get(f, 0) | piv
         return [dep.get(f, 0) | (1 << f) for f in range(ncols) if not (self._pivmask >> f) & 1]
-
-
-def kernel_form(vectors) -> list[int]:
-    """The basis of span(vectors) in the form `SpanBasis.kernel` gives a
-    kernel: reduced echelon form with each row's highest set bit as its
-    pivot, rows in ascending pivot order.  (A kernel vector holds its free
-    column, its highest bit, and only pivot columns of the equations
-    below it, which are never free.)"""
-    rows: dict[int, int] = {}  # keyed by the pivot as bit index + 1
-    for v in vectors:
-        while v:
-            row = rows.get(v.bit_length())
-            if row is None:
-                rows[v.bit_length()] = v
-                break
-            v ^= row
-    out = []
-    pivmask = 0
-    for p in sorted(rows):
-        v = rows[p]
-        # the rows below are reduced, so each xor clears one pivot bit and
-        # sets no other
-        for q in bit_indices(v & pivmask):
-            v ^= rows[q + 1]
-        rows[p] = v
-        pivmask |= 1 << (p - 1)
-        out.append(v)
-    return out
 
 
 def _forward(rows: dict[int, int], vectors) -> int:
@@ -246,7 +212,7 @@ def solve_affine(rows, ncols: int) -> tuple[int, list[int]] | None:
     unknown 0, a `kernel` basis)."""
     span = SpanBasis()
     span.extend(coeff | (rhs << ncols) for coeff, rhs in rows)
-    if span.pivots and span.pivots[-1] >= ncols:
+    if span.contains(1 << ncols):  # the row 0 = 1
         return None
     x = 0
     for p, row in zip(span.pivots, span.rows):

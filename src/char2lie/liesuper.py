@@ -527,19 +527,15 @@ def derived(g: StructureConstants, i: int = 1, start: list[int] | None = None) -
         rows = _reduced_rows(cur)
         _, odd_rows = _split_parity(g, rows)
         span = SpanBasis()
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                span.add(g.bracket_vec(rows[a], rows[b]))
-        for r in odd_rows:
-            span.add(g.sq_vec(r))
-        cur = list(span.rows)
+        span.extend(chain((g.bracket_vec(a, b) for a, b in combinations(rows, 2)), map(g.sq_vec, odd_rows)))
+        cur = span.rows
     return Subspace(g, _reduced_rows(cur))
 
 
 def _reduced_rows(vectors: list[int]) -> list[int]:
     s = SpanBasis()
     s.extend(vectors)
-    return list(s.rows)
+    return s.rows
 
 
 def derived_series_dims(g: StructureConstants, limit: int = 10) -> list[int]:
@@ -567,12 +563,8 @@ def odd_squares_span(g: StructureConstants) -> list[int]:
     brackets (polarization)."""
     span = SpanBasis()
     odds = g.odd_indices()
-    for i in odds:
-        span.add(g.sq[i])
-    for a in range(len(odds)):
-        for b in range(a + 1, len(odds)):
-            span.add(g.brk[odds[a]][odds[b]])
-    return list(span.rows)
+    span.extend(chain((g.sq[i] for i in odds), (g.brk[a][b] for a, b in combinations(odds, 2))))
+    return span.rows
 
 
 def special_center(g: StructureConstants, B: BilinearFormTable) -> Subspace:
@@ -587,18 +579,12 @@ def _intersect(rows_a: list[int], rows_b: list[int], n: int) -> list[int]:
     """Intersection of two spans inside GF(2)^n (Zassenhaus pairing).
 
     Eliminate rows (a, a) and (b, 0); rows whose pivot falls in the second
-    block have zero first block, and their second blocks span A ∩ B.
+    block have zero first block, and their second blocks are the reduced
+    echelon basis of A ∩ B.
     """
     span = SpanBasis()
-    for a in rows_a:
-        span.add(a | (a << n))
-    for b in rows_b:
-        span.add(b)
-    out = SpanBasis()
-    for piv, row in zip(span.pivots, span.rows):
-        if piv >= n:
-            out.add(row >> n)
-    return list(out.rows)
+    span.extend(chain((a | (a << n) for a in rows_a), rows_b))
+    return [row >> n for piv, row in zip(span.pivots, span.rows) if piv >= n]
 
 
 def quotient(g: StructureConstants, ideal: Subspace) -> StructureConstants:
@@ -606,11 +592,12 @@ def quotient(g: StructureConstants, ideal: Subspace) -> StructureConstants:
     the ideal's pivot coordinates."""
     span = SpanBasis()
     span.extend(ideal.rows)
-    for r in list(span.rows):
+    rows = span.rows
+    for r in rows:
         for j in range(g.n):
             if not span.contains(g.bracket_vec(r, 1 << j)):
                 raise ValueError("subspace is not an ideal")
-    ev, od = _split_parity(g, list(span.rows))
+    ev, od = _split_parity(g, rows)
     for r in od:
         if not span.contains(g.sq_vec(r)):
             raise ValueError("ideal is not closed under squaring")

@@ -83,24 +83,9 @@ def test_naive_equals_blocked_all_size4(built):
         assert dv.spaces_equal(a, b), fam.name
 
 
-def test_preserves_nis_basics(built):
-    fam, g, B = built("h", "Pi", 0, 4)
-    zero = dv.LinearMap((0,) * g.n, 0, (0, 0), 0)
-    assert dv.preserves_nis(zero, B, g)
-    gens = dict(dv.closed_form_generators(fam, g))
-    assert dv.preserves_nis(gens["Dtop"], B, g)
-    # inner derivations preserve the invariant form
-    for k in range(g.n):
-        cols = g.ad_cols(1 << k)
-        if any(cols):
-            D = dv.linear_map_from_cols(g, cols)
-            assert dv.preserves_nis(D, B, g), k
-
-
 def test_euler_on_h05_does_not_preserve(built):
     fam, g, B = built("h", "Pi", 0, 5)
     gens = dict(dv.closed_form_generators(fam, g))
-    assert not dv.preserves_nis(gens["Deuler"], B, g)
     assert not dx.bilinear_invariant(gens["Deuler"], B)
 
 
@@ -130,30 +115,6 @@ def test_db_weight_shift(built):
     D = gens["Db[xi1]"]
     assert D.degree == 0 and D.parity == 0
     assert D.weight == (2, 0, 0)
-
-
-def test_cohomology_equal(built):
-    fam, g, B = built("h", "Pi", 0, 6)
-    gens = dict(dv.closed_form_generators(fam, g))
-    D1 = gens["Db[xi1]"]
-    assert dv.cohomology_equal(D1, D1, g)
-    inner = dv.linear_map_from_cols(g, g.ad_cols(1 << 3))
-    if (inner.degree, inner.weight, inner.parity) == (D1.degree, D1.weight, D1.parity):
-        assert dv.cohomology_equal(D1, D1 ^ inner, g)
-    # different D_b classes are not cohomologous
-    D2 = gens["Db[xi2]"]
-    with pytest.raises(ValueError):
-        dv.cohomology_equal(D1, D2, g)  # different weight shifts
-    # same-shift inner correction
-    x = None
-    for k in range(g.n):
-        key = g.cell_key(k)
-        if (key[0], key[1], key[2]) == (D1.degree, D1.weight, D1.parity):
-            x = k
-            break
-    if x is not None:
-        corr = dv.linear_map_from_cols(g, g.ad_cols(1 << x))
-        assert dv.cohomology_equal(D1, D1 ^ corr, g)
 
 
 def test_blocked_stats_recorded(built):
@@ -208,6 +169,34 @@ def test_blocked_solver_refuses_leibniz():
     assert po.is_leibniz
     with pytest.raises(ValueError, match="Leibniz"):
         dv.derivation_space_blocked(po)
+
+
+def _ungraded_table():
+    # degrees 0, 1, 2 and [e0, e1] = e1 + e2: a Lie algebra whose bracket
+    # leaves the cell of degree 0 + 1
+    basis = [ls.BasisElement(f"e{i}", 0, i, ()) for i in range(3)]
+    g = ls.StructureConstants(basis, [[0, 0b110, 0], [0b110, 0, 0], [0, 0, 0]], [0] * 3, meta={"graded": True})
+    assert g.verify_axioms().ok
+    return g
+
+
+def test_naive_solver_refuses_an_ungraded_table():
+    # the kernel holds vectors that mix shifts; split into their shifts,
+    # they are maps that fail is_derivation
+    with pytest.raises(ValueError, match="homogeneous"):
+        dv.derivation_space_naive(_ungraded_table())
+
+
+def test_blocked_solver_refuses_an_ungraded_table():
+    with pytest.raises(ValueError, match="graded table"):
+        dv.derivation_space_blocked(_ungraded_table())
+    # the square of an odd x of degree 1 outside the even cell of degree 2
+    basis = [ls.BasisElement("x", 1, 1, ()), ls.BasisElement("z", 0, 3, ())]
+    g = ls.StructureConstants(basis, [[0, 0], [0, 0]], [0b10, 0])
+    with pytest.raises(ValueError, match="graded table"):
+        dv.derivation_space_blocked(g)
+    g.meta["graded"] = True  # a graded-only object has no squares: all 4 maps
+    assert dv.derivation_space_blocked(g).dim == 4
 
 
 def test_naive_solver_maps_are_derivations_on_leibniz_objects():

@@ -146,15 +146,6 @@ def test_recognition_reports(built):
         dx.recognition(g, ls.BilinearFormTable(tuple(0 for _ in range(g.n)), 0))
 
 
-def test_nontrivial_cocycle(built):
-    fam, g, B, gens = gens_of(built, "h", "Pi", 0, 4)
-    assert dx.nontrivial_cocycle(g, B, gens["Dtop"])
-    zero = dv.LinearMap((0,) * g.n, 0, (0, 0), 0)
-    assert not dx.nontrivial_cocycle(g, B, zero)
-    adx = dv.linear_map_from_cols(g, g.ad_cols(1 << 2))
-    assert not dx.nontrivial_cocycle(g, B, adx)
-
-
 def test_recognition_on_built_extensions(built):
     # an even-derivation extension exposes its center through the even
     # special center (the first recognition route)

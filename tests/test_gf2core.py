@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from char2lie.gf2core import (
     SpanBasis,
     echelon_complement,
-    kernel_form,
     solve_affine,
     span_dim,
     span_equal,
     transpose,
-    xor_rows,
 )
 
 
@@ -214,6 +212,12 @@ def test_span_kernel_and_solve_agree_with_dense_gauss_jordan(system):
     span.extend(rows)
     assert span_dim(rows) == span.dim == len(pivots)
     assert [_bits(v, ncols) for v in span.kernel(ncols)] == _dense_kernel(pivots, reduced, ncols)
+    _assert_dense_solve(eqs, ncols)
+
+
+def _assert_dense_solve(eqs, ncols: int) -> None:
+    """`solve_affine` against dense Gauss-Jordan on the augmented rows: the
+    same verdict, particular solution and kernel basis."""
     aug_pivots, aug_reduced = _dense_rref([_bits(r, ncols) + [b] for r, b in eqs], ncols + 1)
     solved = solve_affine(eqs, ncols)
     assert (solved is None) == (ncols in aug_pivots)
@@ -224,25 +228,8 @@ def test_span_kernel_and_solve_agree_with_dense_gauss_jordan(system):
             expect[p] = row[ncols]
         assert _bits(x, ncols) == expect
         assert all((r & x).bit_count() & 1 == b for r, b in eqs)
-        assert kernel == span.kernel(ncols)
-
-
-def _extend_one_at_a_time(span: SpanBasis, vs) -> None:
-    """The former `SpanBasis.extend`: one eager `add` per vector, each
-    back-reducing every stored row.  The reference for the batch
-    elimination."""
-    for v in vs:
-        span.add(v)
-
-
-def _solve_affine_one_at_a_time(eqs, ncols: int):
-    """`solve_affine` read off a span filled by `_extend_one_at_a_time`."""
-    span = SpanBasis()
-    _extend_one_at_a_time(span, (coeff | (rhs << ncols) for coeff, rhs in eqs))
-    if span.pivots and span.pivots[-1] >= ncols:
-        return None
-    x = sum(1 << p for p, row in zip(span.pivots, span.rows) if (row >> ncols) & 1)
-    return x, span.kernel(ncols)
+        coeffs = [row[:ncols] for row in aug_reduced]
+        assert [_bits(v, ncols) for v in kernel] == _dense_kernel(aug_pivots, coeffs, ncols)
 
 
 @st.composite
@@ -265,33 +252,23 @@ def _batches(draw):
 @settings(derandomize=True, database=None, max_examples=300)
 @given(_batches(), st.booleans())
 def test_extend_batch_equals_one_add_at_a_time(case, as_generator):
+    # the batch insert against one `add` per vector, and both against
+    # dense Gauss-Jordan on every row held so far
     width, before, batch, rhs = case
     ref = SpanBasis()
     got = SpanBasis()
     held = []
     for vs in (before, batch):
         held += vs
-        _extend_one_at_a_time(ref, vs)
+        for v in vs:
+            ref.add(v)
         got.extend((v for v in vs) if as_generator else vs)
-        assert got.pivots == ref.pivots
+        pivots, reduced = _dense_rref([_bits(v, width) for v in held], width)
+        assert got.pivots == ref.pivots == pivots
         assert got.rows == ref.rows
+        assert [_bits(r, width) for r in got.rows] == reduced
         assert got.dim == ref.dim == span_dim(held)
         assert got.kernel(width) == ref.kernel(width)
+        assert [_bits(v, width) for v in got.kernel(width)] == _dense_kernel(pivots, reduced, width)
         assert all(got.contains(v) for v in vs)
-    eqs = list(zip(batch, rhs))
-    assert solve_affine(eqs, width) == _solve_affine_one_at_a_time(eqs, width)
-
-
-def test_kernel_form_is_the_kernel_basis():
-    # any basis of a kernel, recombined by a random invertible (unitriangular,
-    # shuffled) matrix, comes back as SpanBasis.kernel's own basis
-    rng = random.Random(7)
-    for _ in range(500):
-        ncols = rng.randrange(1, 40)
-        dens = rng.random()
-        span = SpanBasis()
-        span.extend(sum(1 << c for c in range(ncols) if rng.random() < dens) for _ in range(rng.randrange(45)))
-        kernel = span.kernel(ncols)
-        mixed = [xor_rows(kernel, rng.getrandbits(i + 1) | 1 << i) for i in range(len(kernel))]
-        rng.shuffle(mixed)
-        assert kernel_form(mixed + [0, mixed[0] if mixed else 0]) == kernel
+    _assert_dense_solve(list(zip(batch, rhs)), width)
