@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -165,3 +166,53 @@ def test_le_parity_shift():
     assert b2.monomial_parity(q1) == 0
     assert b2.element_parity(q1) == 1  # shifted
     assert sf.berezin_parity(b2) == 0  # two odd indeterminates
+
+
+def _describe_space(space):
+    """Names and parities, pairs, diagonals and parity shift of a space,
+    then the weight and Lie parity of every monomial."""
+    lines = [" ".join(f"{v.name}:{v.parity}" for v in space.variables),
+             f"pairs {space.kind.pairs} diagonals {space.kind.diagonals} shift {space.parity_shift}"]
+    lines += [f"{m} {space.weight(m)} {space.element_parity(m)}" for m in range(1 << space.nvars)]
+    return "\n".join(lines)
+
+
+# sha256 of the descriptions of every valid h form with a + b = size and,
+# at even sizes up to 10, of le(size / 2); the list of valid forms is part
+# of what is hashed
+VARIABLE_SPACE_SHA256 = {
+    2: "0324a88beffd9dd834e2d4b7907c98188495ae0e351b69a1d882839fdecdf019",
+    3: "476e1605b7d42db7a64e95564c3e89a8db907694d9f25e3e2a06a361aa29efee",
+    4: "fc4d87b450311acc1dcdb5dddb9b3dfd339616d97f33309555e579dba5a870af",
+    5: "77af9c766d9bf8c03ff22b3d6947bad43224628be3b59498f6fd08494b41993e",
+    6: "d4dd3f70471c61aa7573ea2dc108d7b29ade4c008db2a285911738ac2b1da602",
+    7: "cb075d91026aae3b4851fc2ab1189df887892a9a763325c3cd2476f50e8d99d9",
+    8: "89ff2b775dfdb8e07a67d822dedfde2fbab7eeab1ae12db93ea1c056571fffc2",
+    9: "aaeb1c92b77636ba5b05628378cd4b29f0b44c68f87c3cf86a35aa34f9c24226",
+    10: "1fa9174390957d6c1938e14be05a512852d2bbb0cf38f5403d0bfa817265544e",
+}
+
+
+def test_variable_spaces_are_pinned():
+    by_size = {}
+    for size in range(2, 10):
+        for a in range(size + 1):
+            for form in sf.H_FORMS:
+                try:
+                    space = sf.hamiltonian_space(form, a, size - a)
+                except ValueError:
+                    continue
+                by_size.setdefault(size, []).append(f"h{form}({a}|{size - a})\n" + _describe_space(space))
+    for n in range(1, 6):
+        by_size.setdefault(2 * n, []).append(f"le({n})\n" + _describe_space(sf.buttin_space(n)))
+    assert sum(map(len, by_size.values())) == 103
+    for size, texts in by_size.items():
+        assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == VARIABLE_SPACE_SHA256[size], size
+    for args, message in [(("Q", 0, 4), "single-block families take form Pi or I"),
+                          (("I", 0, 3), "type I requires even dimension >= 2"),
+                          (("PiPi", 0, 4), "single-block families take form Pi or I"),
+                          (("Pi", 0, 0), "empty variable list"),
+                          (("I", 1, 2), "form 'I' needs both an even and an odd letter")]:
+        with pytest.raises(ValueError) as err:
+            sf.hamiltonian_space(*args)
+        assert str(err.value) == message, args
