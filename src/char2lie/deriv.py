@@ -123,7 +123,6 @@ def linear_map_from_cols(g: StructureConstants, cols) -> LinearMap:
 
 @dataclass
 class DerivationSpace:
-    algebra: StructureConstants
     all: list[LinearMap]
     inner: list[LinearMap]
     outer_reps: dict  # ShiftKey -> list[LinearMap]
@@ -211,19 +210,24 @@ def derivation_space_naive(g: StructureConstants) -> DerivationSpace:
 
 
 def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> DerivationSpace:
-    inner = [LinearMap(tuple(row), *g.cell_key(k)) for k, row in enumerate(g.brk) if any(row)]
+    # ad(e_k) is kept only when it is independent of the earlier ones of
+    # its shift, so `inner` is a basis and dim_inner is n - dim(center)
+    inner = []
+    inner_by_shift: dict[ShiftKey, SpanBasis] = {}
+    for k, row in enumerate(g.brk):
+        d = LinearMap(tuple(row), *g.cell_key(k))
+        if inner_by_shift.setdefault(d.shift, SpanBasis()).add(d.as_vec()):
+            inner.append(d)
     by_shift: dict[ShiftKey, list[int]] = {}
     for d in maps:
         by_shift.setdefault(d.shift, []).append(d.as_vec())
-    inner_by_shift: dict[ShiftKey, list[int]] = {}
-    for d in inner:
-        inner_by_shift.setdefault(d.shift, []).append(d.as_vec())
     outer: dict[ShiftKey, list[LinearMap]] = {}
     for key in sorted(by_shift):
-        reps = echelon_complement(inner_by_shift.get(key, []), by_shift[key])
+        base = inner_by_shift.get(key)
+        reps = echelon_complement(base.rows if base else [], by_shift[key])
         if reps:
             outer[key] = [LinearMap.from_vec(r, g.n, *key) for r in reps]
-    return DerivationSpace(g, maps, inner, outer, stats)
+    return DerivationSpace(maps, inner, outer, stats)
 
 
 def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
@@ -473,17 +477,14 @@ def closed_form_generators(fam: FamilySpec, g: StructureConstants | None = None)
     # top-degree map S(x) -> dX/dx and, at the symmetric size, its mirror
     full = space.full_mask
 
-    def partner(x: int) -> int:
-        v = space.variables[x]
-        if v.pair_index is None:
-            return x
-        u, w = space.kind.pairs[v.pair_index]
-        return w if x == u else u
+    partner = list(range(nv))  # a diagonal variable is its own partner
+    for (u, v) in space.kind.pairs:
+        partner[u], partner[v] = v, u
 
     images_top = {}
     images_mirror = {}
     for x in range(nv):
-        s = partner(x)
+        s = partner[x]
         images_top[1 << s] = sf.poly(full ^ (1 << x))
         images_mirror[full ^ (1 << s)] = sf.poly(1 << x)
     consider("Dtop", _rank_one_sum(g, images_top))

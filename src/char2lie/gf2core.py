@@ -108,9 +108,9 @@ class SpanBasis:
     pivot + 1, the form `_forward` fills; `pivots` and `rows` are
     ascending read-only views of it.  `extend` runs the forward pass into
     that dict and back-substitutes once; the rows are reduced and the
-    pivot mask is current again only when the batch is consumed, so it
-    must not be fed a generator that reads this same span.  `add` inserts
-    one vector and says whether the rank grew.
+    pivot mask is current again only when the batch is consumed or has
+    raised, so it must not be fed a generator that reads this same span.
+    `add` inserts one vector and says whether the rank grew.
     """
 
     def __init__(self):
@@ -148,24 +148,28 @@ class SpanBasis:
 
     def extend(self, vs) -> None:
         """Insert a batch of generators: forward-eliminate each against the
-        rows keyed by their pivots, then back-substitute once."""
+        rows keyed by their pivots, then back-substitute once.  A batch
+        that raises part way keeps, reduced, the rows it gave before."""
         rows = self._rows
         dim = len(rows)
-        if _forward(rows, vs) == dim:
-            return
-        pivmask = 0
-        for k in sorted(rows, reverse=True):
-            # the rows above are reduced: xoring one clears its own pivot
-            # bit of v and no other, so the pivots to clear are known up front
-            v = rows[k]
-            hits = v & pivmask
-            while hits:
-                low = hits & -hits
-                v ^= rows[low.bit_length()]
-                hits ^= low
-            rows[k] = v
-            pivmask |= 1 << (k - 1)
-        self._pivmask = pivmask
+        try:
+            _forward(rows, vs)
+        finally:
+            if len(rows) != dim:
+                pivmask = 0
+                for k in sorted(rows, reverse=True):
+                    # the rows above are reduced: xoring one clears its own
+                    # pivot bit of v and no other, so the pivots to clear
+                    # are known up front
+                    v = rows[k]
+                    hits = v & pivmask
+                    while hits:
+                        low = hits & -hits
+                        v ^= rows[low.bit_length()]
+                        hits ^= low
+                    rows[k] = v
+                    pivmask |= 1 << (k - 1)
+                self._pivmask = pivmask
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0

@@ -24,9 +24,6 @@ ONE: Poly = frozenset({0})
 class VarSpec:
     name: str
     parity: int
-    role: str
-    pair_index: int | None
-    weight_entry: int
 
 
 @dataclass(frozen=True)
@@ -34,14 +31,15 @@ class BracketKind:
     """Block structure of the bracket: index pairs (positive-weight var,
     negative-weight var) and diagonal indices."""
 
-    tag: str
     pairs: tuple[tuple[int, int], ...]
     diagonals: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class Space:
-    """An ordered variable list with its bracket kind.
+    """An ordered variable list with its bracket kind.  The pairs of the
+    kind are the only record of the pairing: weights and partners are
+    read off them.
 
     parity_shift is 1 for the Buttin/le families, where the bracket is odd
     on bare monomial parities and the Lie parities are shifted by one.
@@ -58,10 +56,6 @@ class Space:
     @property
     def full_mask(self) -> int:
         return (1 << self.nvars) - 1
-
-    @property
-    def nweights(self) -> int:
-        return len(self.kind.pairs)
 
     def check_poly(self, f: Poly) -> None:
         for m in f:
@@ -82,11 +76,8 @@ class Space:
         return self.monomial_parity(mask) ^ self.parity_shift
 
     def weight(self, mask: int) -> tuple[int, ...]:
-        w = [0] * self.nweights
-        for i, v in enumerate(self.variables):
-            if (mask >> i) & 1 and v.pair_index is not None:
-                w[v.pair_index] += v.weight_entry
-        return tuple(w)
+        """One entry per pair (u, v): +1 for u in the mask, -1 for v."""
+        return tuple((mask >> u & 1) - (mask >> v & 1) for u, v in self.kind.pairs)
 
     def monomial_name(self, mask: int) -> str:
         if mask == 0:
@@ -212,32 +203,6 @@ def berezin_parity(space: Space) -> int:
 H_FORMS = ("Pi", "I", "PiPi", "PiI", "IPi", "II")
 
 
-def _block(letter: str, dim: int, names: tuple[str, str, str], parity: int):
-    """Variable descriptors for one block of the form.
-
-    Pi on even dim: pairs; Pi on odd dim: pairs plus one diagonal;
-    I (even dim >= 2 only): pairs plus two diagonals.
-    """
-    pos_name, neg_name, diag_name = names
-    if dim == 0:
-        return [], 0
-    if letter == "I":
-        if dim % 2 or dim < 2:
-            raise ValueError("type I requires even dimension >= 2")
-        npairs, ndiag = dim // 2 - 1, 2
-    elif letter == "Pi":
-        npairs, ndiag = dim // 2, dim % 2
-    else:
-        raise ValueError(f"unknown form letter {letter!r}")
-    out = []
-    for i in range(npairs):
-        out.append((f"{pos_name}{i + 1}", "pos", parity))
-        out.append((f"{neg_name}{i + 1}", "neg", parity))
-    for i in range(ndiag):
-        out.append((f"{diag_name}{i + 1}" if ndiag > 1 else diag_name, "diag", parity))
-    return out, npairs
-
-
 def _split_form(form: str, a: int, b: int) -> tuple[str, str]:
     if a == 0 or b == 0:
         if form not in ("Pi", "I"):
@@ -249,52 +214,30 @@ def _split_form(form: str, a: int, b: int) -> tuple[str, str]:
     raise ValueError(f"form {form!r} needs both an even and an odd letter")
 
 
-ROLE_BY_KIND = {
-    ("pos", EVEN): "p",
-    ("neg", EVEN): "q",
-    ("diag", EVEN): "z",
-    ("pos", ODD): "xi",
-    ("neg", ODD): "eta",
-    ("diag", ODD): "theta",
-}
-
-
 @lru_cache(maxsize=None)
 def hamiltonian_space(form: str, a: int, b: int) -> Space:
     """Variable space of the h/po family with `a` even and `b` odd
-    indeterminates and the given form tag."""
+    indeterminates and the given form tag.  The even block comes first,
+    then the odd one; each lists its pairs (positive, negative), then its
+    diagonals.  Pi on even dim is all pairs, Pi on odd dim adds one
+    diagonal, I (even dim >= 2 only) adds two."""
     if a == 0 and b == 0:
         raise ValueError("empty variable list")
-    even_letter, odd_letter = _split_form(form, a, b)
-    specs = []
-    if a:
-        ev, _ = _block(even_letter, a, ("p", "q", "z"), EVEN)
-        specs.extend(ev)
-    if b:
-        od, _ = _block(odd_letter, b, ("xi", "eta", "theta"), ODD)
-        specs.extend(od)
-    variables = []
+    variables: list[VarSpec] = []
     pairs = []
     diagonals = []
-    pair_count = 0
-    i = 0
-    while i < len(specs):
-        name, kindtag, parity = specs[i]
-        if kindtag == "pos":
-            nname, _, nparity = specs[i + 1]
-            role_p = ROLE_BY_KIND[("pos", parity)]
-            role_n = ROLE_BY_KIND[("neg", parity)]
-            variables.append(VarSpec(name, parity, role_p, pair_count, 1))
-            variables.append(VarSpec(nname, nparity, role_n, pair_count, -1))
-            pairs.append((i, i + 1))
-            pair_count += 1
-            i += 2
-        else:
-            variables.append(VarSpec(name, parity, ROLE_BY_KIND[("diag", parity)], None, 0))
-            diagonals.append(i)
-            i += 1
-    kind = BracketKind(form, tuple(pairs), tuple(diagonals))
-    return Space(tuple(variables), kind, parity_shift=0)
+    names = (("p", "q", "z"), ("xi", "eta", "theta"))
+    for letter, dim, parity, (pos, neg, diag) in zip(_split_form(form, a, b), (a, b), (EVEN, ODD), names):
+        if letter == "I" and dim % 2:
+            raise ValueError("type I requires even dimension >= 2")
+        ndiag = min(dim, 2) if letter == "I" else dim % 2
+        for i in range(1, (dim - ndiag) // 2 + 1):
+            pairs.append((len(variables), len(variables) + 1))
+            variables += [VarSpec(f"{pos}{i}", parity), VarSpec(f"{neg}{i}", parity)]
+        for i in range(1, ndiag + 1):
+            diagonals.append(len(variables))
+            variables.append(VarSpec(f"{diag}{i}" if ndiag > 1 else diag, parity))
+    return Space(tuple(variables), BracketKind(tuple(pairs), tuple(diagonals)))
 
 
 @lru_cache(maxsize=None)
@@ -304,10 +247,7 @@ def buttin_space(n: int) -> Space:
     if n < 1:
         raise ValueError("n must be positive")
     variables = []
-    pairs = []
-    for i in range(n):
-        variables.append(VarSpec(f"q{i + 1}", EVEN, "q", i, -1))
-        variables.append(VarSpec(f"pi{i + 1}", ODD, "pi", i, 1))
-        pairs.append((2 * i + 1, 2 * i))  # (positive-weight pi_i, negative q_i)
-    kind = BracketKind("buttin", tuple(pairs), ())
-    return Space(tuple(variables), kind, parity_shift=1)
+    for i in range(1, n + 1):
+        variables += [VarSpec(f"q{i}", EVEN), VarSpec(f"pi{i}", ODD)]
+    pairs = tuple((2 * i + 1, 2 * i) for i in range(n))  # (positive-weight pi_i, negative q_i)
+    return Space(tuple(variables), BracketKind(pairs, ()), parity_shift=1)

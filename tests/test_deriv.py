@@ -199,6 +199,18 @@ def test_blocked_solver_refuses_an_ungraded_table():
     assert dv.derivation_space_blocked(g).dim == 4
 
 
+def test_inner_is_a_basis_when_the_center_is_not_zero():
+    # all even, degree 0, [e0, e2] = [e1, e2] = e2: ad(e0) = ad(e1), and
+    # the center is spanned by e0 + e1
+    basis = [ls.BasisElement(f"e{i}", 0, 0, ()) for i in range(3)]
+    g = ls.StructureConstants(basis, [[0, 0, 0b100], [0, 0, 0b100], [0b100, 0b100, 0]], [0] * 3)
+    assert g.verify_axioms().ok
+    for solve in (dv.derivation_space_naive, dv.derivation_space_blocked):
+        ds = solve(g)
+        assert (ds.dim, ds.dim_inner, ds.dim_outer) == (4, 2, 2), solve.__name__
+        assert [d.cols for d in ds.inner] == [(0, 0, 0b100), (0b100, 0b100, 0)]  # ad(e0), ad(e2)
+
+
 def test_naive_solver_maps_are_derivations_on_leibniz_objects():
     # the naive equations and is_derivation read the same table, Leibniz
     # diagonal included, so every map the solver returns passes the check

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -272,3 +273,19 @@ def test_extend_batch_equals_one_add_at_a_time(case, as_generator):
         assert [_bits(v, width) for v in got.kernel(width)] == _dense_kernel(pivots, reduced, width)
         assert all(got.contains(v) for v in vs)
     _assert_dense_solve(list(zip(batch, rhs)), width)
+
+
+def test_extend_keeps_the_rows_of_a_batch_that_raises():
+    def batch():
+        yield 0b10
+        raise RuntimeError("generator failed")
+
+    span = SpanBasis()
+    span.extend([0b11])
+    with pytest.raises(RuntimeError):
+        span.extend(batch())
+    assert span.dim == 2
+    assert span.pivots == [0, 1]
+    assert span.rows == [0b01, 0b10]  # 0b11 is reduced by the new row
+    assert span.contains(0b10) and span.contains(0b01)
+    assert span.kernel(2) == []
