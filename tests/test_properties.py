@@ -328,6 +328,29 @@ def test_symmetric_leibniz_failures_match_reference_loops():
             assert (ax.ok, ax.failures) == _ref_verify_axioms(g, max_failures), (i, t, max_failures)
 
 
+def test_symmetric_flip_failures_match_reference_loops():
+    # Flipping brk[i][j] and brk[j][i] together (i != j) keeps the table
+    # symmetric, so Jacobi (and Leibniz, on the Leibniz bases) take their
+    # once-per-multiset route; its failures must come out complete and in
+    # the reference order. The flipped bit has the bracket's parity, so the
+    # failures are Jacobi or Leibniz ones, not parity ones. On a Leibniz
+    # base one more flip, of brk[m][a] for m in the diagonal [e_a, e_a],
+    # makes the multiset {a, a, a} fail.
+    for b, (g0, _) in enumerate(_verification_bases()):
+        rng = random.Random(b)
+        pairs = [[rng.sample(range(g0.n), 2) for _ in range(rng.choice((1, 2)))] for _ in range(3)]
+        pairs += [[((d & -d).bit_length() - 1, a)] for a, d in enumerate(g0.diag) if d][:1]
+        for flips in pairs:
+            g = ls.StructureConstants(g0.basis, g0.brk, g0.sq, meta=g0.meta)
+            for i, j in flips:
+                t = rng.choice([t for t in range(g.n) if g.parity(t) == g.parity(i) ^ g.parity(j)])
+                g.brk[i][j] ^= 1 << t
+                g.brk[j][i] ^= 1 << t
+            for max_failures in (1, 7, 10**9):
+                ax = g.verify_axioms(max_failures)
+                assert (ax.ok, ax.failures) == _ref_verify_axioms(g, max_failures), (b, max_failures)
+
+
 @st.composite
 def _vector_lists(draw):
     """0-40 vectors of one width in 1-130 (63, 64 and 65 drawn often),
