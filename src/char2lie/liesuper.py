@@ -199,8 +199,11 @@ class StructureConstants:
         axiom there.  Symmetry, the parities and the squaring identity are
         checked on both routes.
 
-        Jacobi sums come from the nonzero products of the sparse table
-        (`_products`); failures come in the order of a loop over i < j < k.
+        On a symmetric table each Jacobi sum is summed once per multiset
+        of indices, in one pass over the nonzero products
+        (`_symmetric_failing`); otherwise the products of the sparse table
+        (`_products`) are summed per triple (`_failing`).  Failures come in
+        the order of a loop over i < j < k (over (x, y, z) for Leibniz).
         """
         fails: list[tuple] = []
         n = self.n
@@ -263,7 +266,9 @@ class StructureConstants:
 
         Each identity is checked a whole row at a time: for fixed (h, i) the
         masks over j of B([e_i,e_h], e_j) and of B(e_i, [e_h,e_j]) are
-        compared, and their difference lists the failures in order."""
+        compared, and their difference lists the failures in order.  The
+        form images B.left(v) and B.right(v) are computed once per distinct
+        bracket value v (one map when B is symmetric)."""
         fails: list[tuple] = []
         n = self.n
         gram, gram_t = B.gram, B.gram_t
@@ -280,11 +285,14 @@ class StructureConstants:
                     fails.append(("form-symmetry", i, j))
                 if (wrong >> j) & 1:
                     fails.append(("form-parity", i, j))
-        for h in range(n):
+        values = set(chain.from_iterable(self.brk))
+        left = {v: B.left(v) for v in values}
+        right = left if gram == gram_t else {v: B.right(v) for v in values}
+        for h, col in enumerate(zip(*self.brk)):
             # rhs[i]: mask of the j with B(e_i, [e_h, e_j]) = 1
-            rhs = transpose([B.right(v) for v in self.brk[h]], n)
-            for i in range(n):
-                for j in bit_indices(B.left(self.brk[i][h]) ^ rhs[i]):
+            rhs = transpose([right[v] for v in self.brk[h]], n)
+            for i, v in enumerate(col):
+                for j in bit_indices(left[v] ^ rhs[i]):
                     fails.append(("invariance", i, h, j))
                     if len(fails) >= max_failures:
                         return AxiomReport(False, fails)
@@ -301,14 +309,14 @@ class StructureConstants:
         return AxiomReport(not fails, fails)
 
 
-def _products(tbl, upper=False, columns=False):
-    """The composition kernel of the Jacobi and Leibniz checks: each
-    nonzero product term (a, b, c, [e_m,e_c]), m in [e_a,e_b], of
-    [[e_a,e_b],e_c] over the pairs (a, b), a <= b when `upper`; with
+def _products(tbl, columns=False):
+    """The composition kernel of the Jacobi and Leibniz checks on a table
+    that is not symmetric: each nonzero product term (a, b, c, [e_m,e_c]),
+    m in [e_a,e_b], of [[e_a,e_b],e_c] over the pairs (a, b); with
     `columns` the terms [e_c,e_m] of [e_c,[e_a,e_b]] instead."""
     rows = [{c: w for c, w in enumerate(row) if w} for row in (zip(*tbl) if columns else tbl)]
     for a, row in enumerate(tbl):
-        for b in range(a if upper else 0, len(row)):
+        for b in range(len(row)):
             for m in bit_indices(row[b]):
                 for c, w in rows[m].items():
                     yield a, b, c, w
@@ -316,14 +324,12 @@ def _products(tbl, upper=False, columns=False):
 
 def _jacobi_triples(tbl, symmetric: bool) -> list[tuple[int, int, int]]:
     """The basis triples i < j < k, ascending, where the Jacobi sum
-    [[i,j],k] + [[j,k],i] + [[k,i],j] is nonzero: from the pairs a <= b of
+    [[i,j],k] + [[j,k],i] + [[k,i],j] is nonzero: from the pairs a < b of
     a symmetric table, else from each cyclic rotation."""
     if symmetric:
-        terms = ((*sorted((a, b, c)), w) for a, b, c, w in _products(tbl, True) if a != b != c != a)
-    else:
-        cyclic = ((a, b, c, w) for a, b, c, w in _products(tbl) if a < b < c or b < c < a or c < a < b)
-        terms = ((*sorted((a, b, c)), w) for a, b, c, w in cyclic)
-    return list(_failing(terms, len(tbl)))
+        return _symmetric_failing(tbl, False)
+    cyclic = ((a, b, c, w) for a, b, c, w in _products(tbl) if a < b < c or b < c < a or c < a < b)
+    return _failing(((*sorted((a, b, c)), w) for a, b, c, w in cyclic), len(tbl))
 
 
 def _leibniz_triples(tbl, symmetric: bool) -> list[tuple[int, int, int]]:
@@ -334,25 +340,60 @@ def _leibniz_triples(tbl, symmetric: bool) -> list[tuple[int, int, int]]:
     is the Jacobi sum of the multiset {x, y, z}: it is summed once per
     multiset and reported at each ordering.  A table that is not symmetric
     is summed per ordered triple."""
+    if symmetric:
+        return sorted({p for t in _symmetric_failing(tbl, True) for p in permutations(t)})
+    cols = ((*t, w) for a, b, c, w in _products(tbl, columns=True) for t in ((c, a, b), (a, c, b)))
+    return _failing(chain(_products(tbl), cols), len(tbl))
+
+
+def _symmetric_failing(tbl, diagonal: bool) -> list[tuple[int, int, int]]:
+    """The multisets {a, b, c} of a symmetric table, as ascending triples
+    in ascending order, whose Jacobi sum is nonzero: each term [e_m,e_c],
+    m in [e_a,e_b], of [[e_a,e_b],e_c] over the pairs a < b (a <= b with
+    `diagonal`) is XORed into the code (i*n + j)*n + k of its sorted
+    triple.  On a distinct pair {a, b} a term with c in {a, b} is skipped:
+    its multiset splits twice and the two terms cancel."""
     n = len(tbl)
-    if not symmetric:
-        cols = ((*t, w) for a, b, c, w in _products(tbl, columns=True) for t in ((c, a, b), (a, c, b)))
-        return list(_failing(chain(_products(tbl), cols), n))
-    # a repeated index in a distinct pair {a, b} splits twice and cancels
-    terms = ((*sorted((a, b, c)), w) for a, b, c, w in _products(tbl, True) if a == b or a != c != b)
-    return sorted({p for t in _failing(terms, n) for p in permutations(t)})
+    rows = [[(c, w) for c, w in enumerate(row) if w] for row in tbl]
+    sums: dict[int, int] = {}
+    for a, row in enumerate(tbl):
+        for b in range(a if diagonal else a + 1, n):
+            if not row[b]:
+                continue
+            ab = (a * n + b) * n
+            for m in bit_indices(row[b]):
+                for c, w in rows[m]:
+                    if c > b:
+                        code = ab + c
+                    elif c > a:
+                        if c == b:
+                            continue
+                        code = (a * n + c) * n + b
+                    elif c < a or a == b:
+                        code = (c * n + a) * n + b
+                    else:
+                        continue
+                    sums[code] = sums.get(code, 0) ^ w
+    return _nonzero_triples(sums, n)
 
 
-def _failing(terms, n: int):
+def _failing(terms, n: int) -> list[tuple[int, int, int]]:
     """The triples (i, j, k) whose terms (i, j, k, w) do not XOR to zero,
     ascending; each triple is summed under the int code (i*n + j)*n + k."""
     sums: dict[int, int] = {}
     for i, j, k, w in terms:
         code = (i * n + j) * n + k
         sums[code] = sums.get(code, 0) ^ w
+    return _nonzero_triples(sums, n)
+
+
+def _nonzero_triples(sums: dict[int, int], n: int) -> list[tuple[int, int, int]]:
+    """The triples, ascending, whose codes (i*n + j)*n + k have a nonzero sum."""
+    out = []
     for code in sorted(code for code, w in sums.items() if w):
         i, jk = divmod(code, n * n)
-        yield (i,) + divmod(jk, n)
+        out.append((i,) + divmod(jk, n))
+    return out
 
 
 # ---------------------------------------------------------------------------
