@@ -675,21 +675,33 @@ def generating_set(g: StructureConstants) -> list[int]:
     """Basis indices of a set S that generates g under the bracket, in the
     order taken: the basis is walked in order of (|degree|, index), and
     e_k is taken when it is not in the bracket closure of S so far.
-    Raises ValueError when the closure of S does not span g."""
+    Raises ValueError when the closure of S does not span g.
+
+    This assumes the Jacobi identity (or, on a Leibniz object, the left
+    Leibniz identity, under which [x, x] counts as a bracket): each ad(x)
+    is then a derivation, so the closure is spanned by the right-normed
+    brackets [s1, [s2, ... s_r]] of generators.  It is found as the least
+    span that holds S and is closed under ad(e_s), s in S, from the rows
+    brk[s]: a new generator is bracketed with the elements kept so far,
+    and the walk stops once the span is full."""
+    n = g.n
     span = SpanBasis()
-    elems: list[int] = []  # brackets as computed (sparse), spanning the closure
-    gens = []
-    for k in sorted(range(g.n), key=lambda k: (abs(g.basis[k].degree), k)):
+    elems: list[int] = []  # the closure's elements as computed, spanning it
+    gens: list[int] = []
+    for k in sorted(range(n), key=lambda k: (abs(g.basis[k].degree), k)):
         if span.contains(1 << k):
             continue
         gens.append(k)
-        todo = [1 << k]
+        row = g.brk[k]
+        todo = [1 << k] + [xor_rows(row, v) for v in elems]
         while todo:
             v = todo.pop()
             if span.add(v):
-                todo.extend(g.bracket_vec(v, w) for w in elems)
+                if span.dim == n:
+                    return gens
                 elems.append(v)
-    if span.dim != g.n:
+                todo.extend(xor_rows(g.brk[s], v) for s in gens)
+    if span.dim != n:
         raise ValueError("the bracket closure of the generating set does not span the algebra")
     return gens
 
