@@ -651,7 +651,8 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         return args.fn(args)
-    except VerificationError as e:
+    except (VerificationError, OSError) as e:
+        # OSError: an output directory that cannot be made or written
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY
 

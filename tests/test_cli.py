@@ -300,15 +300,33 @@ def test_range_guard(tmp_path):
         ["build", "--family", "h", "--form", "Pi", "--even", "0", "--odd", "1", "--override-size"],
         ["derivations", "--family", "h", "--form", "Pi", "--even", "0", "--odd", "1", "--override-size"],
         ["fingerprint", "--family", "h", "--form", "Pi", "--even", "1", "--odd", "0", "--override-size"],
+        ["report", "--sizes", "4", "--out", "/dev/null/x"],
+        ["build", "--family", "h", "--form", "Pi", "--even", "0", "--odd", "4", "--out", "FILE"],
     ],
-    ids=lambda argv: "_".join(argv).replace("--", ""),
+    ids=lambda argv: "_".join(argv).replace("--", "").replace("/", ""),
 )
 def test_bad_arguments_rejected(tmp_path, capsys, argv):
-    # no such family or a size outside the guard: exit 1 with an error
-    # line, and (report) nothing computed or written
-    assert run_cli(*argv, "--out", str(tmp_path)) == 1
+    # no such family, a size outside the guard, or an output directory
+    # that cannot be made (under a device, or at a regular file FILE):
+    # exit 1 with an error line, and (report) nothing computed or written
+    blocker = tmp_path / "file"
+    blocker.write_text("x")
+    argv = [str(blocker) if a == "FILE" else a for a in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path)]
+    assert run_cli(*argv) == 1
     assert capsys.readouterr().err.startswith("error: ")
-    assert not any(tmp_path.iterdir())
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
+
+
+def test_unwritable_dex_output_rejected(tmp_path, capsys):
+    # dex cannot write its table where a directory has the table's name
+    args = ["--family", "h", "--form", "Pi", "--even", "0", "--odd", "4", "--out", str(tmp_path)]
+    assert run_cli("build", *args) == 0
+    (tmp_path / "h_Pi_0_4.dex.txt").mkdir()
+    capsys.readouterr()
+    assert run_cli("dex", *args) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_error_exit_code():
