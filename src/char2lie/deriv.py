@@ -422,7 +422,6 @@ def _rank_one_sum(g: StructureConstants, images: dict[int, int]) -> LinearMap:
 
 def _mult_op(g: StructureConstants, var_mul: int, var_del: int) -> LinearMap:
     """The operator x -> (variable var_mul) * d x / d (variable var_del)."""
-    space: sf.Space = g.meta["space"]
     masks = g.meta["masks"]
     images = {}
     bm, bd = 1 << var_mul, 1 << var_del

@@ -242,10 +242,8 @@ def echelon_complement(sub: list[int], vectors: list[int]) -> list[int]:
     Returns the rows of rref(sub + vectors) whose pivots are not pivots of
     rref(sub): the lexicographically least echelon complement.
     """
-    base = SpanBasis()
-    base.extend(sub)
-    base_pivots = set(base.pivots)
     full = SpanBasis()
     full.extend(sub)
+    base_pivots = set(full.pivots)
     full.extend(vectors)
     return [row for piv, row in zip(full.pivots, full.rows) if piv not in base_pivots]
