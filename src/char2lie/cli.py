@@ -480,14 +480,24 @@ def _sca_mismatch(g, B, g2, B2) -> str:
     return ", ".join(k for k in a if a[k] != b[k])
 
 
+def _write_files(outdir: Path, files) -> None:
+    """Write each (name, text) into outdir, made if missing; a directory
+    that cannot be made or written is an error line, not a traceback."""
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, text in files:
+            (outdir / name).write_text(text)
+    except OSError as e:
+        raise VerificationError(f"cannot write to {outdir}: {e}") from e
+
+
 def cmd_build(args) -> int:
     fam = _fam_from_args(args)
     g, B = ls.build_algebra(fam)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / f"{family_slug(fam)}.sca"
     text = sca_dump(g, B)
-    path.write_text(text)
+    _write_files(outdir, [(path.name, text)])
     bad = _sca_mismatch(g, B, *sca_parse(text))
     if bad:
         raise VerificationError(f"SCA round-trip mismatch ({bad})")
@@ -529,9 +539,7 @@ def cmd_dex(args) -> int:
     check(an)
     table = render_dex_table(fam, an, rows)
     csv = render_dex_csv(fam, rows)
-    outdir = Path(args.out)
-    (outdir / f"{family_slug(fam)}.dex.txt").write_text(table)
-    (outdir / f"{family_slug(fam)}.dex.csv").write_text(csv)
+    files = [(f"{family_slug(fam)}.dex.txt", table), (f"{family_slug(fam)}.dex.csv", csv)]
     for name, ext in exts:
         prov = ext.provenance
         header = [
@@ -539,7 +547,8 @@ def cmd_dex(args) -> int:
             f"D shift {prov['D']}",
             f"q {prov['q']} A {prov['A']} m {prov['m']} BDD {prov['BDD']}",
         ]
-        (outdir / f"{name}.sca").write_text(sca_dump(ext.alg, ext.form, header))
+        files.append((f"{name}.sca", sca_dump(ext.alg, ext.form, header)))
+    _write_files(Path(args.out), files)
     sys.stdout.write(table)
     return EXIT_VERIFY if any(r.verdict == "fail" for r in rows) else EXIT_OK
 
@@ -601,7 +610,7 @@ def cmd_report(args) -> int:
     for fam in fams:
         check_range(fam)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    _write_files(outdir, [])  # an unusable --out fails before the computation
     chunks = []
     csvs = [DEX_CSV_HEADER]
     status = EXIT_OK
@@ -612,8 +621,7 @@ def cmd_report(args) -> int:
         if any(r.verdict == "fail" for r in rows):
             status = EXIT_VERIFY
     text = "\n".join(chunks)
-    (outdir / "report.txt").write_text(text)
-    (outdir / "report.csv").write_text("\n".join(csvs) + "\n")
+    _write_files(outdir, [("report.txt", text), ("report.csv", "\n".join(csvs) + "\n")])
     sys.stdout.write(text)
     return status
 
@@ -651,8 +659,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         return args.fn(args)
-    except (VerificationError, OSError) as e:
-        # OSError: an output directory that cannot be made or written
+    except VerificationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VERIFY
 
