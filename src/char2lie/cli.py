@@ -11,6 +11,7 @@ identical configs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -599,10 +600,74 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _dex_report_parts(fams: list, workers: int) -> list:
+    """(dex table text, CSV lines, failed) of each family, in family order.
+
+    The families are dealt out to w = min(workers, len(fams)) processes:
+    the parent computes fams[0::w] and each of w - 1 forked children
+    fams[k::w]. A child sends its list, or the exception that stopped it,
+    pickled through a pipe and ends with os._exit. The parent reads every
+    pipe before it reaps the children, and kills them first when its own
+    share raises, so that no child outlives the call."""
+    import pickle
+    import signal
+
+    def share(k: int, w: int) -> list:
+        out = []
+        for fam in fams[k::w]:
+            an, rows, _ = dex_family(fam)
+            out.append((render_dex_table(fam, an, rows), render_dex_csv(fam, rows).splitlines()[1:],
+                        any(r.verdict == "fail" for r in rows)))
+        return out
+
+    w = max(1, min(workers, len(fams)))
+    children = []  # (pid, read end of its pipe)
+    sent = None
+    try:
+        for k in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        msg = (True, share(k, w))
+                    except BaseException as e:  # sent to the parent, which raises it
+                        msg = (False, e)
+                    with os.fdopen(wr, "wb") as f:
+                        f.write(pickle.dumps(msg))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            children.append((pid, os.fdopen(r, "rb")))
+        parts = [share(0, w)]
+        sent = [f.read() for _, f in children]
+    finally:
+        for pid, f in children:
+            f.close()
+            if sent is None:
+                os.kill(pid, signal.SIGKILL)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid, _ in children]
+    for k, (data, code) in enumerate(zip(sent, codes), 1):
+        if not data:
+            slugs = ", ".join(family_slug(f) for f in fams[k::w])
+            raise VerificationError(f"the worker for {slugs} ended without a result (exit code {code})")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        parts.append(value)
+    return [parts[i % w][i // w] for i in range(len(fams))]
+
+
 def cmd_report(args) -> int:
     # every size is checked before anything is computed
+    sizes = args.sizes or [4]
     fams = []
-    for total in args.sizes or [4]:
+    for i, total in enumerate(sizes):
+        if total in sizes[:i]:
+            raise VerificationError(f"size {total} is given more than once")
         try:
             fams += standard_families(total)
         except ValueError as e:
@@ -611,19 +676,13 @@ def cmd_report(args) -> int:
         check_range(fam)
     outdir = Path(args.out)
     _write_files(outdir, [])  # an unusable --out fails before the computation
-    chunks = []
-    csvs = [DEX_CSV_HEADER]
-    status = EXIT_OK
-    for fam in fams:
-        an, rows, exts = dex_family(fam)
-        chunks.append(render_dex_table(fam, an, rows))
-        csvs.extend(render_dex_csv(fam, rows).splitlines()[1:])
-        if any(r.verdict == "fail" for r in rows):
-            status = EXIT_VERIFY
-    text = "\n".join(chunks)
+    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    parts = _dex_report_parts(fams, workers)
+    text = "\n".join(table for table, _, _ in parts)
+    csvs = [DEX_CSV_HEADER] + [line for _, lines, _ in parts for line in lines]
     _write_files(outdir, [("report.txt", text), ("report.csv", "\n".join(csvs) + "\n")])
     sys.stdout.write(text)
-    return status
+    return EXIT_VERIFY if any(failed for _, _, failed in parts) else EXIT_OK
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,13 @@
 import contextlib
 import functools
 import io
+import hashlib
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 from char2lie import cli
 from char2lie import liesuper as ls
+from tests.test_acceptance import REPORT_4_5_SHA256
 
 
 def run_cli(*argv):
@@ -293,6 +297,7 @@ def test_range_guard(tmp_path):
         ["report", "--sizes", "-2"],
         ["report", "--sizes", "3"],
         ["report", "--sizes", "4", "3"],
+        ["report", "--sizes", "4", "4"],
         ["build", "--family", "le", "--n", "0"],
         ["build", "--family", "h", "--form", "Pi", "--even", "-1", "--odd", "5"],
         ["build", "--family", "h", "--form", "PiPi", "--even", "0", "--odd", "4"],
@@ -327,6 +332,74 @@ def test_unwritable_dex_output_rejected(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("dex", *args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.fixture
+def no_child_left():
+    """Fail a report that does not end within 30 s, and require that no
+    child process is left after it."""
+
+    def timeout(signum, frame):
+        raise TimeoutError("report did not end")
+
+    old = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(30)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_report_split_over_cpus_keeps_its_bytes(tmp_path, capsys, monkeypatch, no_child_left, cpus):
+    # the families are dealt out to min(cpus, families) processes and the
+    # results merged in family order: the same bytes for any count
+    _cpus(monkeypatch, cpus)
+    assert run_cli("report", "--sizes", "4", "5", "--out", str(tmp_path)) == 0
+    for name, want in REPORT_4_5_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
+    assert capsys.readouterr().out == (tmp_path / "report.txt").read_text()
+
+
+@pytest.mark.parametrize("where", ["parent", "child"])
+def test_report_family_error_in_a_share(tmp_path, capsys, monkeypatch, no_child_left, where):
+    # on 2 CPUs family 0 is in the parent's share and family 1 in the
+    # child's. A VerificationError in either is exit 1 and an error line;
+    # when the parent's share raises, the child (here stuck) is killed
+    _cpus(monkeypatch, 2)
+    fams = cli.standard_families(4)
+    bad = fams[0 if where == "parent" else 1]
+    dex = cli.dex_family
+
+    def failing(fam):
+        if fam == bad:
+            raise cli.VerificationError(f"{cli.family_slug(bad)} failed")
+        if where == "parent" and fam == fams[1]:
+            time.sleep(600)
+        return dex(fam)
+
+    monkeypatch.setattr(cli, "dex_family", failing)
+    assert run_cli("report", "--sizes", "4", "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {cli.family_slug(bad)} failed\n"
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_report_child_that_dies_is_an_error(tmp_path, capsys, monkeypatch, no_child_left):
+    _cpus(monkeypatch, 2)
+    fams = cli.standard_families(4)
+    dex = cli.dex_family
+    monkeypatch.setattr(cli, "dex_family", lambda fam: os._exit(3) if fam == fams[1] else dex(fam))
+    assert run_cli("report", "--sizes", "4", "--out", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exit code 3" in err and cli.family_slug(fams[1]) in err
+    assert not (tmp_path / "report.txt").exists()
 
 
 def test_usage_error_exit_code():
