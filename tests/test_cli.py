@@ -1,7 +1,7 @@
 import contextlib
 import functools
-import io
 import hashlib
+import io
 import os
 import signal
 import subprocess
