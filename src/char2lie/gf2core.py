@@ -20,15 +20,6 @@ bases and solutions are reproducible across runs.
 
 from __future__ import annotations
 
-__all__ = [
-    "BitMatrix",
-    "SpanBasis",
-    "span_dim",
-    "solve_affine",
-    "flatten_cols",
-    "unflatten_cols",
-]
-
 
 def bit_indices(x: int) -> list[int]:
     """Indices of set bits, ascending."""

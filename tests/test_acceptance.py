@@ -34,22 +34,22 @@ def registry():
     fams.append(ls.family("le", n=3))
     for fam in fams:
         slug = cli.family_slug(fam)
-        an, rows, exts = cli.dex_family(fam)
+        an, rows = cli.dex_family(fam)
         reg["families"][slug] = (fam, an.g, an.B)
-        reg["dex"][slug] = (an, rows, exts)
+        reg["dex"][slug] = (an, rows)
         if fam.a + fam.b <= 5 or fam.kind == "le":
             reg["targets"][slug] = ls.poisson_algebra(fam.space())
     return reg
 
 
 def rows_by_label(reg, slug):
-    an, rows, exts = reg["dex"][slug]
+    an, rows = reg["dex"][slug]
     return {r.label: r for r in rows}
 
 
 def ext_by_name(reg, slug, name):
-    an, rows, exts = reg["dex"][slug]
-    for nm, ext in exts:
+    an, rows = reg["dex"][slug]
+    for nm, ext, _ in (b for r in rows for b in r.built):
         if nm == name:
             return ext
     raise KeyError(name)
@@ -66,17 +66,17 @@ def outer_shape(an):
 
 def test_criterion1_inventories(registry):
     t0 = time.perf_counter()
-    an, _, _ = registry["dex"]["h_Pi_0_4"]
+    an, _ = registry["dex"]["h_Pi_0_4"]
     shape = outer_shape(an)
     assert sum(shape.values()) == 7
     assert {k[0] for k in shape} == {-2, 0, 2}
     deg0_weights = sorted(k[1] for k in shape if k[0] == 0)
     assert deg0_weights == [(-2, 0), (0, -2), (0, 0), (0, 2), (2, 0)]
 
-    an_i, _, _ = registry["dex"]["h_I_0_4"]
+    an_i, _ = registry["dex"]["h_I_0_4"]
     assert sum(outer_shape(an_i).values()) == 6
 
-    an_le, _, _ = registry["dex"]["le_2"]
+    an_le, _ = registry["dex"]["le_2"]
     shape_le = outer_shape(an_le)
     assert sum(shape_le.values()) == 7
     assert sorted((k[0], k[1]) for k in shape_le) == sorted((k[0], k[1]) for k in shape)
@@ -95,7 +95,7 @@ def test_criterion1_expected_value_five_exceptional(registry):
     invariant-form extensions.  Fails deliberately."""
     counts = {}
     for slug in ("h_II_2_2", "h_PiI_2_2", "h_IPi_2_2", "h_PiPi_1_3", "h_PiPi_3_1"):
-        an, _, _ = registry["dex"][slug]
+        an, _ = registry["dex"][slug]
         counts[slug] = sum(outer_shape(an).values())
     print(f"\ncriterion 1 (expected value, five exceptional -> 2 each): mechanical counts {counts}")
     assert all(c == 2 for c in counts.values()), (
@@ -117,7 +117,7 @@ def test_criterion2_closed_form_oracle(registry):
     for fam in fams:
         slug = cli.family_slug(fam)
         if slug in registry["dex"]:
-            an, _, _ = registry["dex"][slug]
+            an, _ = registry["dex"][slug]
             g, B, space = an.g, an.B, an.space
         else:
             g, B = ls.build_algebra(fam)
@@ -218,7 +218,7 @@ def test_criterion3_tables(registry):
     row = _row(registry, "le_3", "D(+4)")
     assert row.case == "Dev_Bodd" and row.data_kind == "-"
     # the m-family exists exactly for the Dodd_Bodd case
-    for slug, (an, rows, exts) in registry["dex"].items():
+    for slug, (an, rows) in registry["dex"].items():
         for r in rows:
             if len(r.built) > 1:
                 assert r.case == "Dodd_Bodd", (slug, r.label)
@@ -273,8 +273,8 @@ def _collect_objects(registry):
     objs = []
     for slug, (fam, g, B) in registry["families"].items():
         objs.append((f"{slug}", g, B))
-    for slug, (an, rows, exts) in registry["dex"].items():
-        for nm, ext in exts:
+    for slug, (an, rows) in registry["dex"].items():
+        for nm, ext, _ in (b for r in rows for b in r.built):
             objs.append((nm, ext.alg, ext.form))
     for slug, (po, Bpo) in registry["targets"].items():
         objs.append((f"po[{slug}]", po, Bpo))
@@ -346,7 +346,7 @@ def test_criterion4_expected_value_strict(registry):
 def test_criterion5_identifications(registry):
     t0 = time.perf_counter()
     checked = 0
-    for slug, (an, rows, exts) in registry["dex"].items():
+    for slug, (an, rows) in registry["dex"].items():
         fam = an.fam
         if fam.a + fam.b > 5 and fam.kind != "le":
             continue
@@ -412,7 +412,7 @@ def test_criterion7_solver_equivalence_and_speedup(registry):
         if fam.a + fam.b > 5:
             continue
         naive = dv.derivation_space_naive(g)
-        an, _, _ = registry["dex"][slug]
+        an, _ = registry["dex"][slug]
         assert dv.spaces_equal(naive, an.space), slug
     mid = time.perf_counter()
     fam6 = ls.family("h", "Pi", 0, 6)

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from char2lie import cli
+from char2lie import deriv as dv
+from char2lie import doubleext as dx
 from char2lie import liesuper as ls
 from tests.test_acceptance import REPORT_4_5_SHA256
 
@@ -269,13 +271,16 @@ def test_corrupt_sca_property(text):
 def test_commands_build_the_family_once(tmp_path, capsys, monkeypatch):
     args = ["--family", "h", "--form", "Pi", "--even", "0", "--odd", "4", "--out", str(tmp_path)]
     assert run_cli("build", *args) == 0
+    # the pipeline looks the build and the solver up on their modules, so
+    # a wrapper set there sees each call
     calls = []
-    build = ls.build_algebra
-    monkeypatch.setattr(ls, "build_algebra", lambda fam: calls.append(fam) or build(fam))
+    build, solve = ls.build_algebra, dv.derivation_space_blocked
+    monkeypatch.setattr(ls, "build_algebra", lambda fam: calls.append("build") or build(fam))
+    monkeypatch.setattr(dv, "derivation_space_blocked", lambda g: calls.append("solve") or solve(g))
     for cmd in ("derivations", "dex", "identify"):
         calls.clear()
         assert run_cli(cmd, *args) == 0
-        assert len(calls) == 1, cmd
+        assert sorted(calls) == ["build", "solve"], cmd
 
 
 def test_cmd_derivations_missing_input(tmp_path):
@@ -426,7 +431,7 @@ def test_cmd_dex_and_determinism(tmp_path, capsys):
 
 def test_dex_rows_i_form_size4(tmp_path):
     fam = ls.family("h", "I", 0, 4)
-    an, rows, exts = cli.dex_family(fam)
+    an, rows = cli.dex_family(fam)
     by_label = {r.label: r for r in rows}
     assert by_label["D0"].built and by_label["D0"].preserves
     assert by_label["Db"].built
@@ -438,9 +443,9 @@ def test_dex_rows_i_form_size4(tmp_path):
 def test_truncated_search_is_the_identified_cell(monkeypatch):
     # with the cap below 0 even a 0-dimensional solution set is not
     # searched; the top row says so in the table and the CSV
-    monkeypatch.setattr(cli.dx, "MAX_KERNEL_DIM", -1)
+    monkeypatch.setattr(dx, "MAX_KERNEL_DIM", -1)
     fam = ls.family("h", "Pi", 0, 4)
-    an, rows, _ = cli.dex_family(fam)
+    an, rows = cli.dex_family(fam)
     assert [r.identified for r in rows if r.identified] == ["search-truncated"]
     assert "search-truncated" in cli.render_dex_table(fam, an, rows)
     assert ",search-truncated," in cli.render_dex_csv(fam, rows)
@@ -477,12 +482,14 @@ def test_console_entrypoint():
 
 def test_cli_import_pulls_in_no_numpy():
     # the library is pure Python: importing the CLI, which imports every
-    # char2lie module, must not load numpy
-    code = "import sys\nimport char2lie.cli\nprint('numpy' in sys.modules)\n"
+    # char2lie module, must not load numpy; and the pipeline, which the
+    # CLI imports, must not load the front-end
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    for module, absent in [("char2lie.cli", ["numpy"]), ("char2lie.pipeline", ["numpy", "argparse", "char2lie.cli"])]:
+        code = f"import sys\nimport {module}\nprint([m for m in {absent!r} if m in sys.modules])\n"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "[]", module
 
 
 def test_standard_families_enumeration():
