@@ -26,7 +26,7 @@ The naive solver solves everything at once, so it checks the copies too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import superfunc as sf
 from .gf2core import (BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, span_equal, transpose,
@@ -37,14 +37,10 @@ from .liesuper import (BilinearFormTable, FamilySpec, StructureConstants, build_
 ShiftKey = tuple  # (degree shift, weight shift tuple, parity shift)
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(namedtuple("LinearMap", "cols degree weight parity")):
     """A grading-homogeneous linear map: cols[j] is the image of e_j."""
 
-    cols: tuple[int, ...]
-    degree: int
-    weight: tuple[int, ...]
-    parity: int
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -121,12 +117,12 @@ def linear_map_from_cols(g: StructureConstants, cols) -> LinearMap:
     return LinearMap(tuple(cols), *s)
 
 
-@dataclass
 class DerivationSpace:
-    all: list[LinearMap]
-    inner: list[LinearMap]
-    outer_reps: dict  # ShiftKey -> list[LinearMap]
-    block_stats: dict = field(default_factory=dict)
+    def __init__(self, all: list[LinearMap], inner: list[LinearMap], outer_reps: dict, block_stats: dict | None = None):
+        self.all = all
+        self.inner = inner
+        self.outer_reps = outer_reps  # ShiftKey -> list[LinearMap]
+        self.block_stats = {} if block_stats is None else block_stats
 
     @property
     def dim(self) -> int:

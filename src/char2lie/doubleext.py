@@ -9,7 +9,6 @@ no auxiliary data, bilinear invariance only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 from .deriv import LinearMap, bilinear_invariant
@@ -27,20 +26,20 @@ from .liesuper import (
     special_center,
 )
 
-@dataclass
 class ExtensionData:
-    D: LinearMap
-    q_diag: tuple | None = None
-    A: int | None = None
-    m: int = 0
-    BDD: int = 0
+    def __init__(self, D: LinearMap, q_diag: tuple | None = None, A: int | None = None, m: int = 0, BDD: int = 0):
+        self.D = D
+        self.q_diag = q_diag
+        self.A = A
+        self.m = m
+        self.BDD = BDD
 
 
-@dataclass
 class ExtendedAlgebra:
-    alg: StructureConstants
-    form: BilinearFormTable
-    provenance: dict
+    def __init__(self, alg: StructureConstants, form: BilinearFormTable, provenance: dict):
+        self.alg = alg
+        self.form = form
+        self.provenance = provenance
 
     @property
     def n(self) -> int:
@@ -171,16 +170,17 @@ def _pairing_grade(a: StructureConstants, B: BilinearFormTable):
     return out
 
 
-@dataclass
 class RecognitionReport:
-    rec1: bool
-    rec2: bool
-    rec3: bool
-    rec4: bool
-    special_center_even: int = 0
-    center_even: int = 0
-    center_odd: int = 0
-    witnesses: dict = field(default_factory=dict)
+    def __init__(self, rec1: bool, rec2: bool, rec3: bool, rec4: bool, special_center_even: int = 0,
+                 center_even: int = 0, center_odd: int = 0, witnesses: dict | None = None):
+        self.rec1 = rec1
+        self.rec2 = rec2
+        self.rec3 = rec3
+        self.rec4 = rec4
+        self.special_center_even = special_center_even
+        self.center_even = center_even
+        self.center_odd = center_odd
+        self.witnesses = {} if witnesses is None else witnesses
 
 
 def recognition(g: StructureConstants, B: BilinearFormTable) -> RecognitionReport:
@@ -250,9 +250,9 @@ def recognition(g: StructureConstants, B: BilinearFormTable) -> RecognitionRepor
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class IsoWitness:
-    columns: tuple[int, ...]  # images of ext basis vectors in the target
+    def __init__(self, columns: tuple[int, ...]):
+        self.columns = columns  # images of ext basis vectors in the target
 
     def apply(self, x: int) -> int:
         return xor_rows(self.columns, x)

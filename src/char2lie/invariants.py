@@ -7,17 +7,15 @@ nothing, so comparison returns either evidence or "inconclusive".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .deriv import LinearMap
 from .gf2core import flatten_cols, span_dim, unflatten_cols
 from .liesuper import EVEN, StructureConstants, center, derived_series_dims, orbits, symmetries
 
 
-@dataclass(frozen=True)
-class SuperRank:
-    even_rank: int
-    odd_rank: int
+class SuperRank(namedtuple("SuperRank", "even_rank odd_rank")):
+    __slots__ = ()
 
     @property
     def total(self) -> int:
@@ -94,13 +92,8 @@ def has_odd_ad_rank(g: StructureConstants) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    sdim: tuple[int, int]
-    derived_dims: tuple[int, ...]
-    center_dim: int
-    basis_ranks: tuple[int, ...]
-    pair_ranks: tuple[int, ...]
+class Fingerprint(namedtuple("Fingerprint", "sdim derived_dims center_dim basis_ranks pair_ranks")):
+    __slots__ = ()
 
     def serialize(self) -> str:
         lines = [
@@ -123,11 +116,8 @@ def fingerprint(g: StructureConstants) -> Fingerprint:
     )
 
 
-@dataclass(frozen=True)
-class Evidence:
-    component: str
-    left: object
-    right: object
+class Evidence(namedtuple("Evidence", "component left right")):
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.component} differ: {self.left} vs {self.right}"

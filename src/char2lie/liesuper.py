@@ -9,8 +9,7 @@ polarization: s(x) = sum s(e_i) + sum_{i<j} [e_i, e_j] over the support.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, combinations, permutations
 from operator import itemgetter
@@ -21,21 +20,13 @@ from .gf2core import SpanBasis, bit_indices, flatten_cols, transpose, xor_rows
 EVEN, ODD = 0, 1
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    name: str
-    parity: int
-    degree: int
-    weight: tuple[int, ...]
+class BasisElement(namedtuple("BasisElement", "name parity degree weight")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BilinearFormTable:
+class BilinearFormTable(namedtuple("BilinearFormTable", "gram parity")):
     """Gram matrix over GF(2), rows as int masks: bit j of gram[i] is
-    B(e_i, e_j)."""
-
-    gram: tuple[int, ...]
-    parity: int
+    B(e_i, e_j).  No __slots__: the cached gram_t lives in __dict__."""
 
     @property
     def n(self) -> int:
@@ -69,20 +60,20 @@ class BilinearFormTable:
         return span.kernel(self.n)
 
 
-@dataclass
 class Subspace:
-    ambient: "StructureConstants"
-    rows: list[int]
+    def __init__(self, ambient: "StructureConstants", rows: list[int]):
+        self.ambient = ambient
+        self.rows = rows
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
 
-@dataclass
 class AxiomReport:
-    ok: bool
-    failures: list[tuple] = field(default_factory=list)
+    def __init__(self, ok: bool, failures: list[tuple] | None = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
 
     def __str__(self):
         if self.ok:
@@ -484,14 +475,10 @@ def berezin_table(space: sf.Space, masks: list[int]) -> BilinearFormTable:
     return BilinearFormTable(tuple(gram), sf.berezin_parity(space))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(namedtuple("FamilySpec", "kind form a b")):
     """A family label: kind 'h' with a form tag, or kind 'le'."""
 
-    kind: str
-    form: str
-    a: int
-    b: int
+    __slots__ = ()
 
     @property
     def name(self) -> str:
@@ -512,6 +499,8 @@ def family(kind: str, form: str = "", a: int = 0, b: int = 0, n: int = 0) -> Fam
         return FamilySpec("le", "buttin", n, n)
     if kind != "h":
         raise ValueError("family kind must be 'h' or 'le'")
+    if a < 0 or b < 0:
+        raise ValueError("h families need a, b >= 0")
     if a + b < 2:
         # degrees 1..a+b-1 hold no monomial: the algebra would be 0-dimensional
         raise ValueError("h families need a+b >= 2")
@@ -809,11 +798,11 @@ def compose_cols(cols_a: list[int], cols_b: list[int]) -> list[int]:
     return [xor_rows(cols_a, cb) for cb in cols_b]
 
 
-@dataclass
 class RestrictednessReport:
-    ok: bool
-    witnesses: dict
-    failures: list[int]
+    def __init__(self, ok: bool, witnesses: dict, failures: list[int]):
+        self.ok = ok
+        self.witnesses = witnesses
+        self.failures = failures
 
 
 def restrictedness_check(g: StructureConstants) -> RestrictednessReport:

@@ -6,8 +6,6 @@ on the module sees every call."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import deriv as dv
 from . import doubleext as dx
 from . import liesuper as ls
@@ -20,25 +18,27 @@ def family_slug(fam: ls.FamilySpec) -> str:
     return f"h_{fam.form}_{fam.a}_{fam.b}"
 
 
-@dataclass
 class DerivationRow:
-    label: str
-    degree: int
-    weights: tuple
-    parity: int
-    count: int
-    bilinear: bool
-    extra_odd: bool
-    reps: list = field(default_factory=list)
+    def __init__(self, label: str, degree: int, weights: tuple, parity: int, count: int, bilinear: bool,
+                 extra_odd: bool, reps: list | None = None):
+        self.label = label
+        self.degree = degree
+        self.weights = weights
+        self.parity = parity
+        self.count = count
+        self.bilinear = bilinear
+        self.extra_odd = extra_odd
+        self.reps = [] if reps is None else reps
 
 
-@dataclass
 class FamilyAnalysis:
-    fam: ls.FamilySpec
-    g: ls.StructureConstants
-    B: ls.BilinearFormTable
-    space: dv.DerivationSpace
-    rows: list
+    def __init__(self, fam: ls.FamilySpec, g: ls.StructureConstants, B: ls.BilinearFormTable,
+                 space: dv.DerivationSpace, rows: list):
+        self.fam = fam
+        self.g = g
+        self.B = B
+        self.space = space
+        self.rows = rows
 
     @property
     def mode(self) -> str:
@@ -116,18 +116,19 @@ def closed_form_gaps(an: FamilyAnalysis) -> list:
     return extra
 
 
-@dataclass
 class DexRow:
-    label: str
-    degree: int
-    parity: int
-    count: int
-    preserves: bool
-    case: str
-    data_kind: str
-    built: list = field(default_factory=list)  # (name, ExtendedAlgebra, verdicts)
-    identified: str = ""
-    notes: str = ""
+    def __init__(self, label: str, degree: int, parity: int, count: int, preserves: bool, case: str, data_kind: str,
+                 built: list | None = None, identified: str = "", notes: str = ""):
+        self.label = label
+        self.degree = degree
+        self.parity = parity
+        self.count = count
+        self.preserves = preserves
+        self.case = case
+        self.data_kind = data_kind
+        self.built = [] if built is None else built  # (name, ExtendedAlgebra, verdicts)
+        self.identified = identified
+        self.notes = notes
 
     @property
     def verdict(self) -> str:

@@ -10,7 +10,7 @@ du f * dv g + dv f * du g, diagonal variables contribute dw f * dw g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 EVEN, ODD = 0, 1
@@ -20,34 +20,27 @@ Poly = frozenset  # frozenset[int]: set of monomial masks
 ZERO: Poly = frozenset()
 ONE: Poly = frozenset({0})
 
-@dataclass(frozen=True)
-class VarSpec:
-    name: str
-    parity: int
+class VarSpec(namedtuple("VarSpec", "name parity")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BracketKind:
+class BracketKind(namedtuple("BracketKind", "pairs diagonals")):
     """Block structure of the bracket: index pairs (positive-weight var,
-    negative-weight var) and diagonal indices."""
+    negative-weight var) and diagonal indices, as tuples."""
 
-    pairs: tuple[tuple[int, int], ...]
-    diagonals: tuple[int, ...]
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Space:
-    """An ordered variable list with its bracket kind.  The pairs of the
-    kind are the only record of the pairing: weights and partners are
-    read off them.
+class Space(namedtuple("Space", "variables kind parity_shift", defaults=(0,))):
+    """An ordered variable list (a tuple of VarSpec) with its bracket
+    kind.  The pairs of the kind are the only record of the pairing:
+    weights and partners are read off them.
 
     parity_shift is 1 for the Buttin/le families, where the bracket is odd
     on bare monomial parities and the Lie parities are shifted by one.
     """
 
-    variables: tuple[VarSpec, ...]
-    kind: BracketKind
-    parity_shift: int = 0
+    __slots__ = ()
 
     @property
     def nvars(self) -> int:
@@ -85,10 +78,8 @@ class Space:
         return ".".join(self.variables[i].name for i in range(self.nvars) if (mask >> i) & 1)
 
 
-@dataclass(frozen=True)
-class FormValue:
-    value: int
-    parity: int
+class FormValue(namedtuple("FormValue", "value parity")):
+    __slots__ = ()
 
 
 def poly(*masks: int) -> Poly:

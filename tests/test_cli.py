@@ -3,6 +3,7 @@ import functools
 import hashlib
 import io
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -17,7 +18,10 @@ from hypothesis import strategies as st
 from char2lie import cli
 from char2lie import deriv as dv
 from char2lie import doubleext as dx
+from char2lie import invariants as inv
 from char2lie import liesuper as ls
+from char2lie import pipeline
+from char2lie import superfunc as sf
 from tests.test_acceptance import REPORT_4_5_SHA256
 
 
@@ -305,6 +309,9 @@ def test_range_guard(tmp_path):
         ["report", "--sizes", "4", "4"],
         ["build", "--family", "le", "--n", "0"],
         ["build", "--family", "h", "--form", "Pi", "--even", "-1", "--odd", "5"],
+        ["fingerprint", "--family", "h", "--form", "PiPi", "--even", "-1", "--odd", "6"],
+        ["build", "--family", "h", "--form", "PiPi", "--even", "-3", "--odd", "9"],
+        ["build", "--family", "h", "--form", "II", "--even", "-2", "--odd", "6"],
         ["build", "--family", "h", "--form", "PiPi", "--even", "0", "--odd", "4"],
         ["fingerprint", "--family", "h", "--form", "I", "--even", "0", "--odd", "5"],
         ["build", "--family", "h", "--form", "Pi", "--even", "0", "--odd", "1", "--override-size"],
@@ -482,14 +489,46 @@ def test_console_entrypoint():
 
 def test_cli_import_pulls_in_no_numpy():
     # the library is pure Python: importing the CLI, which imports every
-    # char2lie module, must not load numpy; and the pipeline, which the
-    # CLI imports, must not load the front-end
+    # char2lie module, must not load numpy, nor dataclasses and the inspect
+    # it imports (the records are named tuples and plain classes, which
+    # cost nothing at start-up); and the pipeline, which the CLI imports,
+    # must not load the front-end
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-    for module, absent in [("char2lie.cli", ["numpy"]), ("char2lie.pipeline", ["numpy", "argparse", "char2lie.cli"])]:
+    lean = ["numpy", "dataclasses", "inspect"]
+    for module, absent in [("char2lie.cli", lean), ("char2lie.pipeline", lean + ["argparse", "char2lie.cli"])]:
         code = f"import sys\nimport {module}\nprint([m for m in {absent!r} if m in sys.modules])\n"
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
         assert res.stdout.strip() == "[]", module
+
+
+def test_records_compare_by_value_and_own_their_containers():
+    # the frozen records are equal, and hash equally, exactly when their
+    # values are (Space is an lru_cache key, and _sca_mismatch compares
+    # basis lists); a pickled copy, as report's children send back, is
+    # equal to the original and reads the same
+    fam = ls.family("h", "Pi", 0, 4)
+    space = fam.space()
+    g, _ = ls.build_algebra(fam)
+    D = dv.LinearMap((0,) * g.n, 0, (0, 0), 0)
+    for r in [fam, space, D, g.basis[0], inv.SuperRank(2, 3), inv.fingerprint(g)]:
+        twin = pickle.loads(pickle.dumps(r))
+        assert twin is not r and twin == r and hash(twin) == hash(r) and repr(twin) == repr(r)
+    assert sf.Space(space.variables, space.kind) == space and space.parity_shift == 0
+    assert fam != ls.family("h", "Pi", 4, 0) and D != dv.LinearMap(D.cols, 0, (0, 0), 1)
+    assert len({inv.SuperRank(2, 3), inv.SuperRank(2, 3), inv.SuperRank(3, 2)}) == 2
+    assert repr(inv.SuperRank(2, 3)) == "SuperRank(even_rank=2, odd_rank=3)"
+    # a mutable record gets a fresh container for each instance, not one
+    # default shared by all
+    for make, name in [
+        (lambda: ls.AxiomReport(True), "failures"),
+        (lambda: dv.DerivationSpace([], [], {}), "block_stats"),
+        (lambda: dx.RecognitionReport(False, False, False, False), "witnesses"),
+        (lambda: pipeline.DerivationRow("D0", 0, (), 0, 0, True, True), "reps"),
+        (lambda: pipeline.DexRow("D0", 0, 0, 0, True, "", ""), "built"),
+    ]:
+        a, b = getattr(make(), name), getattr(make(), name)
+        assert a == b and not a and a is not b, name
 
 
 def test_standard_families_enumeration():
