@@ -200,7 +200,7 @@ def derivation_space_naive(g: StructureConstants) -> DerivationSpace:
     ValueError on the first mixed one."""
     n = g.n
     bit = [[1 << (s * n + t) for t in range(n)] for s in range(n)]
-    mat = BitMatrix.from_int_rows({row for *_, row in _equations(g, bit)}, n * n)
+    mat = BitMatrix.from_int_rows((row for _, _, _, row in _equations(g, bit)), n * n)
     maps = [linear_map_from_cols(g, unflatten_cols(v, n)) for v in mat.nullspace_basis()]
     return _finish(g, maps, {"path": "naive", "blocks": 1, "max_block": n * n})
 

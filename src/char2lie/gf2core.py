@@ -3,22 +3,25 @@
 Vectors are plain Python ints used as bitmasks (bit i = coordinate i).
 `SpanBasis` keeps their reduced row echelon form and eliminates every
 system, from the small graded blocks to the dense naive derivation
-oracle (`BitMatrix`, the distinct rows of the naive equations handed to
-one `SpanBasis`) and the ad-preimage solve (`liesuper.ad_preimage`, its
-generators marked by bits above the n*n map coordinates).  There is one
-elimination: `SpanBasis.extend` runs a batch through the forward pass
-(`_forward`), which xors each vector with the row keyed by its lowest
-set bit until it is zero or has a new lowest bit, and then
-back-substitutes once from the highest pivot down; `SpanBasis.add` is
-`reduce` and a one-vector `extend`.  `span_dim` is the rank-only kernel
-(the same forward pass, no reduced rows) for callers that read only a
-dimension, such as the ad-rank spectra.  Pivoting is deterministic (each
-row's pivot is its lowest set bit), and a span has one reduced echelon
-form whatever order its rows arrive in, so echelon forms, nullspace
-bases and solutions are reproducible across runs.
+oracle (`BitMatrix`, every row of the naive equations streamed into one
+`SpanBasis`, with no dedupe set) and the ad-preimage solve
+(`liesuper.ad_preimage`, its generators marked by bits above the n*n map
+coordinates).  There is one elimination: `SpanBasis.extend` runs a batch
+through the forward pass (`_forward`), which xors each vector with the
+row keyed by its lowest set bit until it is zero or has a new lowest
+bit, and then back-substitutes once from the highest pivot down;
+`SpanBasis.add` is `reduce` and a one-vector `extend`.  `span_dim` is the
+rank-only kernel (the same forward pass, no reduced rows) for callers
+that read only a dimension, such as the ad-rank spectra.  Pivoting is
+deterministic (each row's pivot is its lowest set bit), and a span has
+one reduced echelon form whatever repeats or order its rows arrive in,
+so echelon forms, nullspace bases and solutions are reproducible across
+runs.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 
 def bit_indices(x: int) -> list[int]:
@@ -67,26 +70,30 @@ def unflatten_cols(vec: int, n: int) -> tuple[int, ...]:
 
 
 class BitMatrix:
-    """A dense GF(2) system of `rows` equations in `cols` unknowns, its rows
-    (`data`) int masks below 2**cols: the one-system form of the naive
-    derivation oracle, eliminated by `SpanBasis` like every other system."""
+    """A dense GF(2) system in `cols` unknowns: the one-system form of the
+    naive derivation oracle, eliminated by `SpanBasis` like every other
+    system.  Its rows (`data`, int masks below 2**cols) may be any
+    iterable, a generator included: `nullspace_basis` streams them, once,
+    into one elimination, and then sets `rows` to the number it read."""
 
     __slots__ = ("rows", "cols", "data")
 
-    def __init__(self, data: list[int], cols: int):
-        self.rows = len(data)
+    def __init__(self, data, cols: int):
+        self.rows = None  # unknown until `nullspace_basis` has read the data
         self.cols = cols
         self.data = data
 
     @classmethod
     def from_int_rows(cls, int_rows, cols: int) -> "BitMatrix":
         """The system of the given rows (any iterable, read once)."""
-        return cls(list(int_rows), cols)
+        return cls(int_rows, cols)
 
     def nullspace_basis(self) -> list[int]:
         """Basis of {x : M x = 0}; one vector per free column, ascending."""
+        read = count()  # zip takes one from it per row it takes from data
         span = SpanBasis()
-        span.extend(self.data)
+        span.extend(v for v, _ in zip(self.data, read))
+        self.rows = next(read)
         return span.kernel(self.cols)
 
 

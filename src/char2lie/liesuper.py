@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import cached_property
 from itertools import chain, combinations, permutations
-from operator import itemgetter
+from operator import itemgetter, xor
 
 from . import superfunc as sf
 from .gf2core import SpanBasis, bit_indices, flatten_cols, transpose, xor_rows
@@ -198,20 +198,24 @@ class StructureConstants:
         """
         fails: list[tuple] = []
         n = self.n
-        pmask = [self.parity_mask(EVEN), self.parity_mask(ODD)]
-
-        def bad_parity(target_mask: int, want: int) -> bool:
-            return bool(target_mask & pmask[want ^ 1])
+        brk = self.brk
+        par = [e.parity for e in self.basis]
+        # wrong[p]: the basis vectors a product of parity p must not contain
+        wrong = [self.parity_mask(ODD), self.parity_mask(EVEN)]
+        squares = not self.graded_only
 
         symmetric = True
         for i in range(n):
+            row = brk[i]
+            p = par[i]
             for j in range(i, n):
-                if self.brk[i][j] != self.brk[j][i]:
+                v = row[j]
+                if v != brk[j][i]:
                     fails.append(("symmetry", i, j))
                     symmetric = False
-                if bad_parity(self.brk[i][j], self.parity(i) ^ self.parity(j)):
+                if v & wrong[p ^ par[j]]:
                     fails.append(("bracket-parity", i, j))
-            if not self.graded_only and self.parity(i) == ODD and bad_parity(self.sq[i], EVEN):
+            if squares and p == ODD and self.sq[i] & wrong[EVEN]:
                 fails.append(("squaring-parity", i))
             if len(fails) >= max_failures:
                 return AxiomReport(False, fails)
@@ -233,17 +237,20 @@ class StructureConstants:
         return AxiomReport(not fails, fails)
 
     def _squaring_failures(self):
-        """Pairs (i, j), odd i first, where [s(e_i), e_j] != [e_i, [e_i, e_j]]."""
+        """Pairs (i, j), odd i first, where [s(e_i), e_j] != [e_i, [e_i, e_j]].
+
+        One row at a time: [s(e_i), e_j] for every j is the xor of the rows
+        brk[m] over the bits m of s(e_i), and [e_i, [e_i, e_j]] is read off
+        row i only where [e_i, e_j] is nonzero."""
+        brk = self.brk
+        zero = [0] * self.n
         for i in self.odd_indices():
-            si = self.sq[i]
-            for j in range(self.n):
-                lhs = 0
-                for m in bit_indices(si):
-                    lhs ^= self.brk[m][j]
-                rhs = 0
-                for m in bit_indices(self.brk[i][j]):
-                    rhs ^= self.brk[i][m]
-                if lhs != rhs:
+            row = brk[i]
+            lhs = zero
+            for m in bit_indices(self.sq[i]):
+                lhs = list(map(xor, lhs, brk[m]))
+            for j, (v, s) in enumerate(zip(row, lhs)):
+                if s != (xor_rows(row, v) if v else 0):
                     yield i, j
 
     def jis_holds(self) -> bool:

@@ -4,7 +4,7 @@ from char2lie import cli
 from char2lie import deriv as dv
 from char2lie import doubleext as dx
 from char2lie import liesuper as ls
-from char2lie.gf2core import SpanBasis
+from char2lie.gf2core import BitMatrix, SpanBasis, unflatten_cols
 
 
 def outer_shape(space):
@@ -224,6 +224,48 @@ def test_naive_solver_maps_are_derivations_on_leibniz_objects():
             assert all(dv.is_derivation(po, D) for D in maps), fam.name
             seen[fam.name] = len(maps)
     assert len(seen) == 13 and seen["hI(1)(0|4)"] == 16
+
+
+def _distinct_row_space(g):
+    """The maps, as (shift, cols) in order, of eliminating the set of the
+    distinct naive equation rows, and the number of rows emitted."""
+    n = g.n
+    bit = [[1 << (s * n + t) for t in range(n)] for s in range(n)]
+    rows = [row for _, _, _, row in dv._equations(g, bit)]
+    span = SpanBasis()
+    span.extend(set(rows))
+    maps = [dv.linear_map_from_cols(g, unflatten_cols(v, n)) for v in span.kernel(n * n)]
+    return [(d.shift, d.cols) for d in dv._finish(g, maps, {}).all], len(rows)
+
+
+def test_streamed_naive_oracle_equals_the_distinct_row_elimination(monkeypatch):
+    # the naive solver streams every emitted row, repeats included, into
+    # one elimination; a span has one reduced echelon form, so its maps
+    # and their order are those of the distinct rows. Every standard
+    # family of sizes 4 to 6 and the 13 Leibniz po objects of sizes 4-5.
+    mats = []
+    make = BitMatrix.from_int_rows.__func__
+
+    def recording(cls, rows, cols):
+        mats.append(make(cls, rows, cols))
+        return mats[-1]
+
+    monkeypatch.setattr(BitMatrix, "from_int_rows", classmethod(recording))
+    objects = []
+    for total in (4, 5, 6):
+        for fam in cli.standard_families(total):
+            objects.append((fam.name, ls.build_algebra(fam)[0]))
+            po, _ = ls.poisson_algebra(fam.space())
+            if total < 6 and po.is_leibniz:
+                objects.append(("po " + fam.name, po))
+    assert len(objects) == 33 + 13
+    emitted = {}
+    for name, g in objects:
+        got = [(d.shift, d.cols) for d in dv.derivation_space_naive(g).all]
+        want, emitted[name] = _distinct_row_space(g)
+        assert got == want, name
+        assert mats[-1].rows == emitted[name], name
+    assert emitted["hPi(1)(0|6)"] == 78808
 
 
 def test_cells_partition(built):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from char2lie.gf2core import (
+    BitMatrix,
     SpanBasis,
     echelon_complement,
     solve_affine,
@@ -289,3 +290,22 @@ def test_extend_keeps_the_rows_of_a_batch_that_raises():
     assert span.rows == [0b01, 0b10]  # 0b11 is reduced by the new row
     assert span.contains(0b10) and span.contains(0b01)
     assert span.kernel(2) == []
+
+
+@settings(derandomize=True, database=None, max_examples=100)
+@given(_batches())
+def test_bitmatrix_streams_a_one_shot_generator(case):
+    # the naive oracle's system: an iterator, read once, gives the kernel
+    # of the list of its rows and of their distinct rows, and `rows`
+    # counts every row read, repeats and zero rows included
+    width, before, batch, _ = case
+    rows = before + batch
+    listed = BitMatrix.from_int_rows(rows, width)
+    streamed = BitMatrix.from_int_rows(iter(rows), width)
+    assert streamed.rows is None and streamed.cols == width
+    distinct = SpanBasis()
+    distinct.extend(set(rows))
+    kernel = streamed.nullspace_basis()
+    assert kernel == listed.nullspace_basis() == distinct.kernel(width)
+    assert all(_mat_vec(rows, v) == 0 for v in kernel)
+    assert streamed.rows == listed.rows == len(rows)

@@ -248,10 +248,23 @@ def _ref_orthogonal_complement(B, vectors):
     return span.kernel(B.n)
 
 
+def _square_object():
+    """Odd x and y, even z and w: [x, y] = z, x^2 = z + w, y^2 = z, and z
+    and w central; a Lie superalgebra with nonzero odd squares (every
+    standard base has all odd squares 0), one of them with two terms, and
+    an odd form pairing x with z and y with w."""
+    basis = [ls.BasisElement("x", 1, 1, ()), ls.BasisElement("y", 1, 1, ()),
+             ls.BasisElement("z", 0, 2, ()), ls.BasisElement("w", 0, 2, ())]
+    brk = [[0, 0b0100, 0, 0], [0b0100, 0, 0, 0], [0] * 4, [0] * 4]
+    g = ls.StructureConstants(basis, brk, [0b1100, 0b0100, 0, 0])
+    return g, ls.BilinearFormTable((0b0100, 0b1000, 0b0001, 0b0010), 1)
+
+
 @functools.cache
 def _verification_bases():
-    """Lie, graded, Buttin and Leibniz objects, and double extensions: one
-    of them Leibniz with m = 1, so that its form fails square-invariance."""
+    """Lie, graded, Buttin and Leibniz objects, double extensions (one of
+    them Leibniz with m = 1, so that its form fails square-invariance), and
+    an object with nonzero odd squares."""
     out = []
     for args in [("h", "Pi", 0, 4), ("h", "PiPi", 1, 3), ("le", "", 0, 0, 2)]:
         fam = ls.family(*args[:4], n=args[4] if len(args) > 4 else 0)
@@ -264,6 +277,7 @@ def _verification_bases():
         D = dict(dv.closed_form_generators(fam, g))["Dtop"]
         ext = dx.build(g, B, dx.prepare(g, B, D, m=m))
         out.append((ext.alg, ext.form))
+    out.append(_square_object())
     return tuple(out)
 
 
@@ -311,8 +325,42 @@ def test_verification_kernels_match_reference_loops(obj):
         assert (ax.ok, ax.failures) == _ref_verify_axioms(g, max_failures), max_failures
         fm = g.verify_form(B, max_failures)
         assert (fm.ok, fm.failures) == _ref_verify_form(g, B, max_failures), max_failures
+    _assert_squaring_check(g)
     assert list(dv.invariance_failures(D, B)) == _ref_invariance_failures(D, B)
     assert B.orthogonal_complement(vectors) == _ref_orthogonal_complement(B, vectors)
+
+
+def _assert_squaring_check(g):
+    # jis_holds reads the squaring identity whether or not g is graded
+    # only; the reference loop lists its failures only when it is not
+    ungraded = ls.StructureConstants(g.basis, g.brk, g.sq, meta={**g.meta, "graded": False})
+    ref = [f[1:] for f in _ref_verify_axioms(ungraded, 10**9)[1] if f[0] == "squaring-jacobi"]
+    assert list(g._squaring_failures()) == ref
+    assert g.jis_holds() == (not ref)
+
+
+def test_squaring_check_on_nonzero_squares():
+    # every single flip of a bracket or square bit of an object whose odd
+    # squares are nonzero: the row-at-a-time squaring and parity checks
+    # against the reference loops
+    g0, _ = _square_object()
+    assert g0.verify_axioms().ok and g0.jis_holds() and not g0.graded_only
+    n = g0.n
+    flips = [("brk", i, j, t) for i in range(n) for j in range(n) for t in range(n)]
+    flips += [("sq", i, 0, t) for i in g0.odd_indices() for t in range(n)]
+    held = 0
+    for kind, i, j, t in flips:
+        g = ls.StructureConstants(g0.basis, g0.brk, g0.sq, meta=g0.meta)
+        if kind == "brk":
+            g.brk[i][j] ^= 1 << t
+        else:
+            g.sq[i] ^= 1 << t
+        for max_failures in (1, 3, 10**9):
+            ax = g.verify_axioms(max_failures)
+            assert (ax.ok, ax.failures) == _ref_verify_axioms(g, max_failures), (kind, i, j, t, max_failures)
+        _assert_squaring_check(g)
+        held += g.jis_holds()
+    assert 0 < held < len(flips)
 
 
 def test_symmetric_leibniz_failures_match_reference_loops():
