@@ -15,7 +15,10 @@ refused.  Der2 stays on every odd basis element: the lemma is about the
 bracket only, and Der1 on all pairs does not fix D on the squares (with
 odd x, even z, x^2 = z and all brackets 0, Der1 leaves Dz free and Der2
 forces Dz = 0).  The naive solver keeps every pair, so comparing the two
-checks the blocking and the lemma together.
+checks the blocking and the lemma together.  `is_derivation` checks every
+pair by default; given a generating set it checks Der1 on the pairs that
+touch S and Der2 on every odd index, the route `closed_form_generators`
+takes on a Lie object.
 
 The blocked solver also solves only one block of each orbit of shifts
 under the family's variable symmetries (`liesuper.symmetries`): an
@@ -27,6 +30,7 @@ The naive solver solves everything at once, so it checks the copies too.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import xor
 
 from . import superfunc as sf
 from .gf2core import (BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, span_equal, transpose,
@@ -291,7 +295,8 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     # the blocks in sorted shift order, and where each symmetry sends them
     order = sorted(blocks, key=lambda c: blocks[c][0])
     place = {c: b for b, c in enumerate(order)}
-    perms = symmetries(g)
+    gens = generating_set(g)
+    perms = symmetries(g, gens)
     moves = [[place[kc[p[t]] - kc[p[s]] + (par[t] ^ par[s])] for t, s in (blocks[c][1][0] for c in order)]
              for p in perms]
     orbs = orbits(moves, len(order))
@@ -310,7 +315,7 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
 
     rows: dict[int, set[int]] = {c: set() for c in solved}
     emitted = 0
-    for i, j, t, row in _equations(g, bit, generating_set(g), keep):
+    for i, j, t, row in _equations(g, bit, gens, keep):
         rows[kc[t] - kc[i] - kc[j] + (par[t] ^ par[i] ^ par[j])].add(row)
         emitted += 1
 
@@ -360,28 +365,45 @@ def spaces_equal(a: DerivationSpace, b: DerivationSpace) -> bool:
     return span_equal([d.as_vec() for d in a.all], [d.as_vec() for d in b.all])
 
 
-def is_derivation(g: StructureConstants, D: LinearMap) -> bool:
+def is_derivation(g: StructureConstants, D: LinearMap, gens: list[int] | None = None) -> bool:
     """Check Der1 over all pairs i < j, and over (i, i) where the Leibniz
     diagonal T[i][i] is nonzero, and, for genuine superalgebras, Der2 over
-    odd basis elements, on the rows T of `g.brk`.  Every pair is checked,
-    without the generating-set lemma, so the check is independent of the
-    blocked solver.
+    odd basis elements, on the rows T of `g.brk`.  By default every pair
+    is checked, without the generating-set lemma, so the check is
+    independent of the blocked solver.
+
+    With `gens`, the basis indices of a generating set S of a Lie object,
+    Der1 is checked only on the pairs with i or j in S, which by the lemma
+    of the module docstring gives Der1 on all pairs; Der2 is still checked
+    at every odd index, since the lemma does not reach the squares.
 
     One row of T at a time: ad(De_i), the row of [De_i, e_j] over j, is
-    the xor of the rows T[k] over the bits k of De_i; [e_i, De_j] is the
-    xor of T[i] over the bits of De_j, and D[e_i, e_j] the xor of D's
-    columns over the bits of T[i][j]."""
+    the xor of the rows T[k] over the bits k of De_i (for i outside S, only
+    at the j in S and at i); [e_i, De_j] is the xor of T[i] over the bits
+    of De_j, and D[e_i, e_j] the xor of D's columns over the bits of
+    T[i][j]."""
     n = g.n
     T = g.brk
     cols = D.cols
     dbits = [bit_indices(c) for c in cols]
     odd = 0 if g.graded_only else g.parity_mask(sf.ODD)
+    gmask = -1 if gens is None else sum(1 << s for s in gens)
     for i in range(n):
         Ti = T[i]
-        ad = [0] * n
-        for k in dbits[i]:
-            ad = [a ^ b for a, b in zip(ad, T[k])]
-        for j in range(i if Ti[i] else i + 1, n):
+        first = i if Ti[i] else i + 1
+        if gmask >> i & 1:
+            js = range(first, n)
+            ad = [0] * n
+            for k in dbits[i]:
+                ad = list(map(xor, ad, T[k]))
+        else:
+            js = bit_indices(gmask & (-1 << first))
+            ad = dict.fromkeys((*js, i), 0)
+            for k in dbits[i]:
+                Tk = T[k]
+                for j in ad:
+                    ad[j] ^= Tk[j]
+        for j in js:
             defect = ad[j]
             for k in dbits[j]:
                 defect ^= Ti[k]
@@ -443,8 +465,11 @@ def closed_form_generators(fam: FamilySpec, g: StructureConstants | None = None)
     nv = space.nvars
     out: list[tuple[str, LinearMap]] = []
 
+    # Der1 on the pairs of a generating set suffices on a Lie object
+    gens = None if g.is_leibniz else generating_set(g)
+
     def consider(label: str, D: LinearMap):
-        if not D.is_zero() and is_derivation(g, D):
+        if not D.is_zero() and is_derivation(g, D, gens):
             out.append((label, D))
 
     # D_b = b d/dS(b) for every paired variable b

@@ -26,6 +26,8 @@ from itertools import count
 
 def bit_indices(x: int) -> list[int]:
     """Indices of set bits, ascending."""
+    if not x & (x - 1):  # 0 or a single bit, most calls
+        return [x.bit_length() - 1] if x else []
     out = []
     while x:
         low = x & -x
@@ -37,6 +39,8 @@ def bit_indices(x: int) -> list[int]:
 def xor_rows(rows, x: int) -> int:
     """XOR of rows[i] over the set bits i of x: the image of x under the
     matrix whose rows (or columns) are the given masks."""
+    if not x & (x - 1):
+        return rows[x.bit_length() - 1] if x else 0
     out = 0
     for i in bit_indices(x):
         out ^= rows[i]
@@ -48,9 +52,10 @@ def transpose(rows, ncols: int) -> list[int]:
     2^ncols; the cost is one step per set bit."""
     out = [0] * ncols
     for i, r in enumerate(rows):
-        bit = 1 << i
-        for j in bit_indices(r):
-            out[j] |= bit
+        if r:
+            bit = 1 << i
+            for j in bit_indices(r):
+                out[j] |= bit
     return out
 
 

@@ -556,17 +556,23 @@ def _split_parity(g: StructureConstants, rows: list[int]) -> tuple[list[int], li
 
 
 def derived(g: StructureConstants, i: int = 1, start: list[int] | None = None) -> Subspace:
-    """The i-th derived subalgebra: brackets plus squares of odd elements."""
+    """The i-th derived subalgebra: brackets plus squares of odd elements.
+    From all of g (no `start`), the first step reads the table: the
+    brackets brk[a][b] for a < b and the squares of the odd e_a."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    cur = start if start is not None else [1 << k for k in range(g.n)]
+    cur = start
     for _ in range(i):
-        rows = _reduced_rows(cur)
-        _, odd_rows = _split_parity(g, rows)
         span = SpanBasis()
-        span.extend(chain((g.bracket_vec(a, b) for a, b in combinations(rows, 2)), map(g.sq_vec, odd_rows)))
+        if cur is None:
+            span.extend(chain(chain.from_iterable(row[a + 1:] for a, row in enumerate(g.brk)),
+                              (g.sq[a] for a in g.odd_indices())))
+        else:
+            rows = _reduced_rows(cur)
+            _, odd_rows = _split_parity(g, rows)
+            span.extend(chain((g.bracket_vec(a, b) for a, b in combinations(rows, 2)), map(g.sq_vec, odd_rows)))
         cur = span.rows
-    return Subspace(g, _reduced_rows(cur))
+    return Subspace(g, _reduced_rows([1 << k for k in range(g.n)] if cur is None else cur))
 
 
 def _reduced_rows(vectors: list[int]) -> list[int]:
@@ -577,7 +583,7 @@ def _reduced_rows(vectors: list[int]) -> list[int]:
 
 def derived_series_dims(g: StructureConstants, limit: int = 10) -> list[int]:
     dims = [g.n]
-    cur = [1 << k for k in range(g.n)]
+    cur = None
     for _ in range(limit):
         cur = derived(g, 1, start=cur).rows
         dims.append(len(cur))
@@ -702,7 +708,7 @@ def generating_set(g: StructureConstants) -> list[int]:
     return gens
 
 
-def symmetries(g: StructureConstants) -> list[tuple[int, ...]]:
+def symmetries(g: StructureConstants, gens: list[int] | None = None) -> list[tuple[int, ...]]:
     """Basis permutations p, from swaps of the family's variables, that are
     automorphisms of g as it stands: e_i -> e_p[i].
 
@@ -710,13 +716,23 @@ def symmetries(g: StructureConstants) -> list[tuple[int, ...]]:
     the swap within each pair, the swap of two pairs whose variables have
     the same parities, and the swap of two diagonals of the same parity.
     One is kept when it permutes the basis, preserves parity, maps every
-    cell onto a cell, and satisfies brk[p i][p j] = p(brk[i][j]) for all
-    i, j (the Leibniz diagonal included) and, unless g is graded only,
-    sq[p i] = p(sq[i]) for odd i.  An object without that meta (a parsed
-    file, an extension, a quotient) has none."""
+    cell onto a cell, and satisfies brk[p s][p j] = p(brk[s][j]) for every
+    j (the Leibniz diagonal included) on the rows s of a generating set S
+    and, unless g is graded only, sq[p i] = p(sq[i]) for every odd i.  The
+    rows of S suffice: the x with p[x, y] = [p x, p y] for every y form a
+    subalgebra under Jacobi (or the left Leibniz identity), which holds S
+    and so is g.  That lemma does not reach the squares, so every odd one
+    is checked.  S is `gens`, else `generating_set(g)`; when that raises,
+    every row is checked.  An object without that meta (a parsed file, an
+    extension, a quotient) has none."""
     space, masks = g.meta.get("space"), g.meta.get("masks")
     if space is None or masks is None:
         return []
+    if gens is None:
+        try:
+            gens = generating_set(g)
+        except ValueError:
+            gens = range(g.n)
     par = [v.parity for v in space.variables]
     swaps = [((u, v),) for u, v in space.kind.pairs]
     swaps += [((u1, u2), (v1, v2)) for (u1, v1), (u2, v2) in combinations(space.kind.pairs, 2)
@@ -726,7 +742,7 @@ def symmetries(g: StructureConstants) -> list[tuple[int, ...]]:
     cell = {k: c for c, k in enumerate(g.cells())}
     cid = [cell[g.cell_key(i)] for i in range(g.n)]
     size = Counter(cid)
-    values = set(chain.from_iterable(g.brk))
+    values = set(chain.from_iterable(g.brk[s] for s in gens))
     if not g.graded_only:
         values.update(g.sq[i] for i in g.odd_indices())
     out = []
@@ -746,7 +762,7 @@ def symmetries(g: StructureConstants) -> list[tuple[int, ...]]:
             continue
         img = {v: sum(1 << p[b] for b in bit_indices(v)) for v in values}
         moved = itemgetter(*p)  # row r to (r[p[j]] for j)
-        if any(tuple(map(img.__getitem__, row)) != moved(g.brk[p[i]]) for i, row in enumerate(g.brk)):
+        if any(tuple(map(img.__getitem__, g.brk[s])) != moved(g.brk[p[s]]) for s in gens):
             continue
         if not g.graded_only and any(g.sq[p[i]] != img[g.sq[i]] for i in g.odd_indices()):
             continue

@@ -418,18 +418,21 @@ def test_criterion7_solver_equivalence_and_speedup(registry):
     fam6 = ls.family("h", "Pi", 0, 6)
     g6, _ = ls.build_algebra(fam6)
 
-    def best_of_three(solve):
-        # the least of three wall times, so that one stall of a shared
-        # host does not decide the ratio
-        times = []
-        for _ in range(3):
-            t = time.perf_counter()
-            space = solve(g6)
-            times.append(time.perf_counter() - t)
-        return space, min(times)
+    def timed(solve):
+        t = time.perf_counter()
+        space = solve(g6)
+        return space, time.perf_counter() - t
 
-    naive6, naive_s = best_of_three(dv.derivation_space_naive)
-    blocked6, blocked_s = best_of_three(dv.derivation_space_blocked)
+    # the least of three wall times of each solver, so that one stall of a
+    # shared host does not decide the ratio; the naive and blocked calls
+    # alternate, so that both are timed at the same host speed
+    naive_times, blocked_times = [], []
+    for _ in range(3):
+        naive6, t = timed(dv.derivation_space_naive)
+        naive_times.append(t)
+        blocked6, t = timed(dv.derivation_space_blocked)
+        blocked_times.append(t)
+    naive_s, blocked_s = min(naive_times), min(blocked_times)
     assert dv.spaces_equal(naive6, blocked6)
     assert blocked_s < 300, f"blocked solver took {blocked_s:.1f}s"
     assert naive_s / blocked_s >= 5, f"speedup only {naive_s / blocked_s:.1f}x"

@@ -1,6 +1,7 @@
 """Cross-checks between independent computation paths."""
 
 import functools
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -768,14 +769,22 @@ def test_is_derivation_matches_reference_on_solver_maps():
 
 def test_is_derivation_matches_reference_on_closed_form_candidates(monkeypatch):
     # every candidate closed_form_generators filters at sizes 6 and 7,
-    # accepted or not
+    # accepted or not, on the route it takes (Der1 on the pairs of the
+    # generating set), and a one-bit flip of each on the same route, so
+    # that rejections are compared too
     real = dv.is_derivation
+    rng = random.Random(13)
     seen = []
+    flips = []
 
-    def check(g, D):
-        got = real(g, D)
+    def check(g, D, gens=None):
+        assert gens == ls.generating_set(g)
+        got = real(g, D, gens)
         assert got == _ref_is_derivation(g, D), (g.meta["family"].name, D.cols)
         seen.append(got)
+        _, F = _with_flips([D], rng)
+        flips.append(real(g, F, gens))
+        assert flips[-1] == _ref_is_derivation(g, F), (g.meta["family"].name, F.cols)
         return got
 
     monkeypatch.setattr(dv, "is_derivation", check)
@@ -783,6 +792,7 @@ def test_is_derivation_matches_reference_on_closed_form_candidates(monkeypatch):
         for fam in cli.standard_families(total):
             dv.closed_form_generators(fam)
     assert (len(seen), seen.count(True)) == (224, 205)
+    assert (len(flips), flips.count(True)) == (224, 0)
 
 
 def test_is_derivation_matches_reference_on_leibniz_and_graded_objects():
@@ -809,3 +819,171 @@ def test_is_derivation_matches_reference_on_leibniz_and_graded_objects():
     maps = dv.derivation_space_blocked(graded).all
     assert all(_verdicts(graded, maps, "graded"))
     assert _verdicts(po, maps, "super").count(False) == 4
+
+
+# -- differential check of the generating-set routes --------------------------
+# liesuper.symmetries checks brk only on the rows of a generating set, and
+# derived reads its first step off the table.  The references below check
+# every row of brk and bracket every pair of basis vectors.  On the natural
+# objects every swap that keeps parity is an automorphism, so the twisted
+# copies carry the rejections: g in the basis with e_a replaced by e_a + e_b
+# for a and b in one cell, an isomorphic object with the same grading and
+# meta on which many swaps no longer commute with the bracket.  Each of
+# their rejections shows in two or more rows of the generating set, so two
+# hand-built objects reject a swap in one generator's row only, the first
+# and the last.  The hI(0|6) copy with one square flipped keeps every
+# bracket automorphism but loses those that move the square.
+
+
+def _ref_symmetries(g):
+    """The variable swaps of `liesuper.symmetries`, each checked on every
+    row of brk and every odd square (unless g is graded only); and the
+    number of swaps that permute the cells but fail those checks."""
+    space, masks = g.meta["space"], g.meta["masks"]
+    par = [v.parity for v in space.variables]
+    pairs, diagonals = space.kind.pairs, space.kind.diagonals
+    swaps = [{u: v, v: u} for u, v in pairs]
+    swaps += [{u1: u2, u2: u1, v1: v2, v2: v1} for (u1, v1), (u2, v2) in itertools.combinations(pairs, 2)
+              if (par[u1], par[v1]) == (par[u2], par[v2])]
+    swaps += [{w1: w2, w2: w1} for w1, w2 in itertools.combinations(diagonals, 2) if par[w1] == par[w2]]
+    index = {m: i for i, m in enumerate(masks)}
+    cells = {frozenset(c) for c in g.cells().values()}
+    out, rejected = [], 0
+    for swap in swaps:
+        p = [index.get(sum(1 << swap.get(b, b) for b in range(space.nvars) if m >> b & 1)) for m in masks]
+        if None in p or any(g.parity(p[i]) != g.parity(i) for i in range(g.n)):
+            continue
+        if any(frozenset(p[i] for i in c) not in cells for c in cells):
+            continue
+
+        @functools.cache
+        def image(v, p=p):
+            return sum(1 << p[b] for b in range(g.n) if v >> b & 1)
+
+        if any(g.brk[p[i]][p[j]] != image(g.brk[i][j]) for i in range(g.n) for j in range(g.n)) or (
+                not g.graded_only and any(g.sq[p[i]] != image(g.sq[i]) for i in g.odd_indices())):
+            rejected += 1
+        else:
+            out.append(tuple(p))
+    return out, rejected
+
+
+def _pairwise_derived_dims(g, limit=10):
+    """The derived series dimensions, every step by the pairwise route
+    (the brackets of every pair of rows and the squares of the odd rows)."""
+    dims, cur = [g.n], [1 << k for k in range(g.n)]
+    for _ in range(limit):
+        span = SpanBasis()
+        span.extend(itertools.chain((g.bracket_vec(a, b) for a, b in itertools.combinations(cur, 2)),
+                                    (g.sq_vec(r) for r in cur if r & g.parity_mask(1))))
+        cur = span.rows
+        dims.append(len(cur))
+        if not cur or dims[-1] == dims[-2]:
+            break
+    return dims
+
+
+def _twisted(g, a, b):
+    """g in the basis e_a + e_b, e_k (k != a); a and b lie in one cell."""
+    def phi(v):  # the basis change, its own inverse
+        return v ^ 1 << b if v >> a & 1 else v
+
+    n = g.n
+    brk = [[phi(g.bracket_vec(phi(1 << i), phi(1 << j))) for j in range(n)] for i in range(n)]
+    sq = [phi(g.sq_vec(phi(1 << i))) if g.parity(i) else 0 for i in range(n)]
+    return ls.StructureConstants(g.basis, brk, sq, meta=g.meta)
+
+
+def _four_even(brackets):
+    """A Lie algebra on four even basis vectors at the masks 0-3 of
+    hPi(0|2), whose one swap exchanges e1 and e2: [e_i, e_j] =
+    brackets[i, j] for i < j, every other bracket 0."""
+    brk = [[0] * 4 for _ in range(4)]
+    for (i, j), v in brackets.items():
+        brk[i][j] = brk[j][i] = v
+    basis = [ls.BasisElement(f"e{k}", 0, 0, ()) for k in range(4)]
+    meta = {"space": ls.family("h", "Pi", 0, 2).space(), "masks": (0, 1, 2, 3)}
+    g = ls.StructureConstants(basis, brk, [0] * 4, meta=meta)
+    assert g.verify_axioms().ok
+    return g
+
+
+def _one_row_rejections():
+    """Two objects on which the swap of e1 and e2 fails in one row of the
+    generating set S only.  In both, ad(e0) commutes with the swap on e1
+    and e2: [e0, e1] = e1 + e3, [e0, e2] = e2 + e3.  With [e0, e3] = e1,
+    S = (0, 1, 2) and the swap fails at (e0, e3): the first generator.
+    With [e1, e2] = e2 and [e1, e3] = e2 + e3 instead, S = (0, 1) and it
+    fails at (e1, e2): the last generator."""
+    first = _four_even({(0, 1): 0b1010, (0, 2): 0b1100, (0, 3): 0b0010})
+    last = _four_even({(0, 1): 0b1010, (0, 2): 0b1100, (1, 2): 0b0100, (1, 3): 0b1100})
+    assert (ls.generating_set(first), ls.generating_set(last)) == ([0, 1, 2], [0, 1])
+    return [first, last]
+
+
+@functools.cache
+def _generating_route_objects():
+    """Every standard family of sizes 4-7 and its po object; twisted copies
+    of those of sizes 4-5, one per cell of two or more elements (its first
+    two); hI(0|6) with one square flipped; and the two objects of
+    `_one_row_rejections`."""
+    out = []
+    for total in (4, 5, 6, 7):
+        for fam in cli.standard_families(total):
+            for g, _ in (ls.build_algebra(fam), ls.poisson_algebra(fam.space())):
+                out.append(g)
+                if total <= 5:
+                    out += [_twisted(g, *c[:2]) for c in g.cells().values() if len(c) > 1]
+    g, _ = ls.build_algebra(ls.family("h", "I", 0, 6))
+    masks = g.meta["masks"]
+    g.sq[masks.index(0b010011)] ^= 1 << masks.index(0b110011)
+    out.append(g)
+    return tuple(out + _one_row_rejections())
+
+
+def test_symmetries_on_a_generating_set_match_the_full_table(monkeypatch):
+    objs = _generating_route_objects()
+    assert any(g.is_leibniz for g in objs) and any(g.graded_only for g in objs)
+    refs = [_ref_symmetries(g) for g in objs]
+    for g, (want, _) in zip(objs, refs):
+        assert ls.symmetries(g) == ls.symmetries(g, ls.generating_set(g)) == want, g.meta.get("family")
+    assert (len(objs), sum(len(w) for w, _ in refs), sum(r for _, r in refs)) == (169, 378, 86)
+
+    # when generating_set raises, every row is checked
+    def fail(g):
+        raise ValueError("no generating set")
+
+    monkeypatch.setattr(ls, "generating_set", fail)
+    for g, (want, rejected) in zip(objs, refs):
+        if rejected:
+            assert ls.symmetries(g) == want, g.meta.get("family")
+
+
+def test_derived_series_from_the_table_matches_the_pairwise_route():
+    for g in _generating_route_objects() + (_square_object()[0],):
+        basis = [1 << k for k in range(g.n)]
+        assert ls.derived(g, 1).rows == ls.derived(g, 1, start=basis).rows
+        assert ls.derived_series_dims(g) == _pairwise_derived_dims(g)
+
+
+def test_is_derivation_on_a_generating_set_matches_the_reference():
+    # the Lie objects of sizes 4-5 above, the two hand-built ones included:
+    # the rows of brk (inner derivations) and the maps of the blocked
+    # space, each with a one-bit flip, on the generating-set route
+    rng = random.Random(29)
+    seen = []
+    for g in _generating_route_objects():
+        if g.is_leibniz or g.n > 32:
+            continue
+        gens = ls.generating_set(g)
+        maps = [dv.LinearMap(tuple(r), 0, (), 0) for r in g.brk] + dv.derivation_space_blocked(g).all
+        for D in _with_flips(maps, rng):
+            got = dv.is_derivation(g, D, gens)
+            assert got == _ref_is_derivation(g, D), (g.meta.get("family"), D.cols)
+            seen.append(got)
+    # Der2 alone rejects 4 of the Der1 solutions of po hPi(0|4) (see above)
+    po, _ = ls.poisson_algebra(ls.family("h", "Pi", 0, 4).space())
+    graded = ls.StructureConstants(po.basis, po.brk, po.sq, meta={**po.meta, "graded": True})
+    der1 = dv.derivation_space_blocked(graded).all
+    assert [dv.is_derivation(po, D, ls.generating_set(po)) for D in der1] == _verdicts(po, der1, "super")
+    assert all(seen[::2]) and (len(seen), seen.count(True)) == (5794, 2901)
