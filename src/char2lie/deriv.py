@@ -373,37 +373,26 @@ def is_derivation(g: StructureConstants, D: LinearMap, gens: list[int] | None = 
     independent of the blocked solver.
 
     With `gens`, the basis indices of a generating set S of a Lie object,
-    Der1 is checked only on the pairs with i or j in S, which by the lemma
-    of the module docstring gives Der1 on all pairs; Der2 is still checked
-    at every odd index, since the lemma does not reach the squares.
+    Der1 is checked only on the pairs (s, j), s in S and j any index, which
+    by the lemma of the module docstring (and the symmetry of the bracket)
+    gives Der1 on all pairs; Der2 is still checked at every odd index,
+    since the lemma does not reach the squares.
 
     One row of T at a time: ad(De_i), the row of [De_i, e_j] over j, is
-    the xor of the rows T[k] over the bits k of De_i (for i outside S, only
-    at the j in S and at i); [e_i, De_j] is the xor of T[i] over the bits
-    of De_j, and D[e_i, e_j] the xor of D's columns over the bits of
-    T[i][j]."""
+    the xor of the rows T[k] over the bits k of De_i; [e_i, De_j] is the
+    xor of T[i] over the bits of De_j, and D[e_i, e_j] the xor of D's
+    columns over the bits of T[i][j].  Der2 at odd i reads the one entry
+    [De_i, e_i], the xor of T[k][i] over the bits k of De_i."""
     n = g.n
     T = g.brk
     cols = D.cols
     dbits = [bit_indices(c) for c in cols]
-    odd = 0 if g.graded_only else g.parity_mask(sf.ODD)
-    gmask = -1 if gens is None else sum(1 << s for s in gens)
-    for i in range(n):
+    for i in range(n) if gens is None else gens:
         Ti = T[i]
-        first = i if Ti[i] else i + 1
-        if gmask >> i & 1:
-            js = range(first, n)
-            ad = [0] * n
-            for k in dbits[i]:
-                ad = list(map(xor, ad, T[k]))
-        else:
-            js = bit_indices(gmask & (-1 << first))
-            ad = dict.fromkeys((*js, i), 0)
-            for k in dbits[i]:
-                Tk = T[k]
-                for j in ad:
-                    ad[j] ^= Tk[j]
-        for j in js:
+        ad = [0] * n
+        for k in dbits[i]:
+            ad = list(map(xor, ad, T[k]))
+        for j in range(i if Ti[i] else i + 1, n) if gens is None else range(n):
             defect = ad[j]
             for k in dbits[j]:
                 defect ^= Ti[k]
@@ -411,7 +400,11 @@ def is_derivation(g: StructureConstants, D: LinearMap, gens: list[int] | None = 
                 defect ^= xor_rows(cols, Ti[j])
             if defect:
                 return False
-        if odd >> i & 1 and xor_rows(cols, g.sq[i]) != ad[i]:
+    for i in () if g.graded_only else g.odd_indices():
+        square = 0  # [De_i, e_i]
+        for k in dbits[i]:
+            square ^= T[k][i]
+        if xor_rows(cols, g.sq[i]) != square:
             return False
     return True
 

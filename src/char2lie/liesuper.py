@@ -676,8 +676,8 @@ def quotient(g: StructureConstants, ideal: Subspace) -> StructureConstants:
 def generating_set(g: StructureConstants) -> list[int]:
     """Basis indices of a set S that generates g under the bracket, in the
     order taken: the basis is walked in order of (|degree|, index), and
-    e_k is taken when it is not in the bracket closure of S so far.
-    Raises ValueError when the closure of S does not span g.
+    e_k is taken when it is not in the bracket closure of S so far, so
+    the closure always spans g.
 
     This assumes the Jacobi identity (or, on a Leibniz object, the left
     Leibniz identity, under which [x, x] counts as a bracket): each ad(x)
@@ -703,9 +703,7 @@ def generating_set(g: StructureConstants) -> list[int]:
                     return gens
                 elems.append(v)
                 todo.extend(xor_rows(g.brk[s], v) for s in gens)
-    if span.dim != n:
-        raise ValueError("the bracket closure of the generating set does not span the algebra")
-    return gens
+    return gens  # reached only when n == 0
 
 
 def symmetries(g: StructureConstants, gens: list[int] | None = None) -> list[tuple[int, ...]]:
@@ -722,17 +720,13 @@ def symmetries(g: StructureConstants, gens: list[int] | None = None) -> list[tup
     rows of S suffice: the x with p[x, y] = [p x, p y] for every y form a
     subalgebra under Jacobi (or the left Leibniz identity), which holds S
     and so is g.  That lemma does not reach the squares, so every odd one
-    is checked.  S is `gens`, else `generating_set(g)`; when that raises,
-    every row is checked.  An object without that meta (a parsed file, an
-    extension, a quotient) has none."""
+    is checked.  S is `gens`, else `generating_set(g)`.  An object without
+    that meta (a parsed file, an extension, a quotient) has none."""
     space, masks = g.meta.get("space"), g.meta.get("masks")
     if space is None or masks is None:
         return []
     if gens is None:
-        try:
-            gens = generating_set(g)
-        except ValueError:
-            gens = range(g.n)
+        gens = generating_set(g)
     par = [v.parity for v in space.variables]
     swaps = [((u, v),) for u, v in space.kind.pairs]
     swaps += [((u1, u2), (v1, v2)) for (u1, v1), (u2, v2) in combinations(space.kind.pairs, 2)
