@@ -35,8 +35,7 @@ from operator import xor
 from . import superfunc as sf
 from .gf2core import (BitMatrix, SpanBasis, bit_indices, echelon_complement, flatten_cols, span_equal, transpose,
                       unflatten_cols, xor_rows)
-from .liesuper import (BilinearFormTable, FamilySpec, StructureConstants, build_algebra, generating_set, orbits,
-                       symmetries)
+from .liesuper import BilinearFormTable, StructureConstants, generating_set, orbits, symmetries
 
 ShiftKey = tuple  # (degree shift, weight shift tuple, parity shift)
 
@@ -448,11 +447,10 @@ def _diag_projector(g: StructureConstants, keep) -> LinearMap:
     return _rank_one_sum(g, images)
 
 
-def closed_form_generators(fam: FamilySpec, g: StructureConstants | None = None) -> list[tuple[str, "LinearMap"]]:
-    """The closed-form outer derivation candidates for a family, filtered
-    by a mechanical Der1/Der2 check.  Returns (label, map) pairs."""
-    if g is None:
-        g, _ = build_algebra(fam)
+def closed_form_generators(g: StructureConstants) -> list[tuple[str, "LinearMap"]]:
+    """The closed-form outer derivation candidates for the algebra of a
+    family, filtered by a mechanical Der1/Der2 check.  Returns (label, map)
+    pairs."""
     space: sf.Space = g.meta["space"]
     masks = g.meta["masks"]
     nv = space.nvars

@@ -190,11 +190,11 @@ class StructureConstants:
         axiom there.  Symmetry, the parities and the squaring identity are
         checked on both routes.
 
-        On a symmetric table each Jacobi sum is summed once per multiset
-        of indices, in one pass over the nonzero products
-        (`_symmetric_failing`); otherwise the products of the sparse table
-        (`_products`) are summed per triple (`_failing`).  Failures come in
-        the order of a loop over i < j < k (over (x, y, z) for Leibniz).
+        Jacobi and Leibniz are summed only on a symmetric table, once per
+        multiset of indices, in one pass over the nonzero products
+        (`_symmetric_failing`).  A table that is not symmetric is reported
+        by its symmetry entries and is not summed.  Failures come in the
+        order of a loop over i < j < k (over (x, y, z) for Leibniz).
         """
         fails: list[tuple] = []
         n = self.n
@@ -220,13 +220,16 @@ class StructureConstants:
             if len(fails) >= max_failures:
                 return AxiomReport(False, fails)
 
-        if self.is_leibniz:
-            tag, triples = "leibniz", _leibniz_triples(self.brk, symmetric)
-        else:
-            tag, triples = "jacobi", _jacobi_triples(self.brk, symmetric)
-        fails += [(tag,) + t for t in triples[: max_failures - len(fails)]]
-        if len(fails) >= max_failures:
-            return AxiomReport(False, fails)
+        if symmetric:
+            leibniz = self.is_leibniz
+            triples = _symmetric_failing(brk, leibniz)
+            if leibniz:
+                # the difference at (x, y, z) is the Jacobi sum of {x, y, z}
+                triples = sorted({p for t in triples for p in permutations(t)})
+            tag = "leibniz" if leibniz else "jacobi"
+            fails += [(tag,) + t for t in triples[: max_failures - len(fails)]]
+            if len(fails) >= max_failures:
+                return AxiomReport(False, fails)
 
         if not self.graded_only:
             for i, j in self._squaring_failures():
@@ -307,43 +310,6 @@ class StructureConstants:
         return AxiomReport(not fails, fails)
 
 
-def _products(tbl, columns=False):
-    """The composition kernel of the Jacobi and Leibniz checks on a table
-    that is not symmetric: each nonzero product term (a, b, c, [e_m,e_c]),
-    m in [e_a,e_b], of [[e_a,e_b],e_c] over the pairs (a, b); with
-    `columns` the terms [e_c,e_m] of [e_c,[e_a,e_b]] instead."""
-    rows = [{c: w for c, w in enumerate(row) if w} for row in (zip(*tbl) if columns else tbl)]
-    for a, row in enumerate(tbl):
-        for b in range(len(row)):
-            for m in bit_indices(row[b]):
-                for c, w in rows[m].items():
-                    yield a, b, c, w
-
-
-def _jacobi_triples(tbl, symmetric: bool) -> list[tuple[int, int, int]]:
-    """The basis triples i < j < k, ascending, where the Jacobi sum
-    [[i,j],k] + [[j,k],i] + [[k,i],j] is nonzero: from the pairs a < b of
-    a symmetric table, else from each cyclic rotation."""
-    if symmetric:
-        return _symmetric_failing(tbl, False)
-    cyclic = ((a, b, c, w) for a, b, c, w in _products(tbl) if a < b < c or b < c < a or c < a < b)
-    return _failing(((*sorted((a, b, c)), w) for a, b, c, w in cyclic), len(tbl))
-
-
-def _leibniz_triples(tbl, symmetric: bool) -> list[tuple[int, int, int]]:
-    """The basis triples (x, y, z), ascending, where the left Leibniz
-    identity [x,[y,z]] = [[x,y],z] + [y,[x,z]] fails (diagonal included).
-
-    In characteristic 2 with a symmetric table the difference at (x, y, z)
-    is the Jacobi sum of the multiset {x, y, z}: it is summed once per
-    multiset and reported at each ordering.  A table that is not symmetric
-    is summed per ordered triple."""
-    if symmetric:
-        return sorted({p for t in _symmetric_failing(tbl, True) for p in permutations(t)})
-    cols = ((*t, w) for a, b, c, w in _products(tbl, columns=True) for t in ((c, a, b), (a, c, b)))
-    return _failing(chain(_products(tbl), cols), len(tbl))
-
-
 def _symmetric_failing(tbl, diagonal: bool) -> list[tuple[int, int, int]]:
     """The multisets {a, b, c} of a symmetric table, as ascending triples
     in ascending order, whose Jacobi sum is nonzero: each term [e_m,e_c],
@@ -372,21 +338,6 @@ def _symmetric_failing(tbl, diagonal: bool) -> list[tuple[int, int, int]]:
                     else:
                         continue
                     sums[code] = sums.get(code, 0) ^ w
-    return _nonzero_triples(sums, n)
-
-
-def _failing(terms, n: int) -> list[tuple[int, int, int]]:
-    """The triples (i, j, k) whose terms (i, j, k, w) do not XOR to zero,
-    ascending; each triple is summed under the int code (i*n + j)*n + k."""
-    sums: dict[int, int] = {}
-    for i, j, k, w in terms:
-        code = (i * n + j) * n + k
-        sums[code] = sums.get(code, 0) ^ w
-    return _nonzero_triples(sums, n)
-
-
-def _nonzero_triples(sums: dict[int, int], n: int) -> list[tuple[int, int, int]]:
-    """The triples, ascending, whose codes (i*n + j)*n + k have a nonzero sum."""
     out = []
     for code in sorted(code for code, w in sums.items() if w):
         i, jk = divmod(code, n * n)

@@ -107,7 +107,7 @@ def closed_form_gaps(an: FamilyAnalysis) -> list:
     """The (shift, count) of each outer cell with classes that the inner
     derivations and the closed-form generators do not span."""
     span = SpanBasis()
-    span.extend(d.as_vec() for d in an.space.inner + [D for _, D in dv.closed_form_generators(an.fam, an.g)])
+    span.extend(d.as_vec() for d in an.space.inner + [D for _, D in dv.closed_form_generators(an.g)])
     extra = []
     for key in sorted(an.space.outer_reps):
         miss = sum(1 for d in an.space.outer_reps[key] if not span.contains(d.as_vec()))

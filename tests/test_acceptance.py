@@ -125,7 +125,7 @@ def test_criterion2_closed_form_oracle(registry):
         span = SpanBasis()
         for d in space.inner:
             span.add(d.as_vec())
-        for label, D in dv.closed_form_generators(fam, g):
+        for label, D in dv.closed_form_generators(g):
             span.add(D.as_vec())
         assert span.dim == space.dim, f"{fam.name}: closed+inner {span.dim} != solver {space.dim}"
     dt = time.perf_counter() - t0

@@ -85,14 +85,14 @@ def test_naive_equals_blocked_all_size4(built):
 
 def test_euler_on_h05_does_not_preserve(built):
     fam, g, B = built("h", "Pi", 0, 5)
-    gens = dict(dv.closed_form_generators(fam, g))
+    gens = dict(dv.closed_form_generators(g))
     assert not dx.bilinear_invariant(gens["Deuler"], B)
 
 
 def test_closed_forms_pass_derivation_check(built):
     for args in [("h", "Pi", 0, 4), ("h", "I", 0, 4), ("h", "Pi", 0, 5), ("le", "", 0, 0, 2)]:
         fam, g, B = built(*args)
-        for label, D in dv.closed_form_generators(fam, g):
+        for label, D in dv.closed_form_generators(g):
             assert dv.is_derivation(g, D), (fam.name, label)
 
 
@@ -104,14 +104,14 @@ def test_closed_form_span_equality_size4(built):
         span = SpanBasis()
         for d in ds.inner:
             span.add(d.as_vec())
-        for label, D in dv.closed_form_generators(fam, g):
+        for label, D in dv.closed_form_generators(g):
             span.add(D.as_vec())
         assert span.dim == ds.dim, fam.name
 
 
 def test_db_weight_shift(built):
     fam, g, B = built("h", "Pi", 0, 6)
-    gens = dict(dv.closed_form_generators(fam, g))
+    gens = dict(dv.closed_form_generators(g))
     D = gens["Db[xi1]"]
     assert D.degree == 0 and D.parity == 0
     assert D.weight == (2, 0, 0)

@@ -12,7 +12,7 @@ from char2lie.gf2core import SpanBasis
 
 def gens_of(built, *args):
     fam, g, B = built(*args)
-    return fam, g, B, dict(dv.closed_form_generators(fam, g))
+    return fam, g, B, dict(dv.closed_form_generators(g))
 
 
 def test_find_q_zero_map(built):
@@ -256,7 +256,7 @@ def test_rec4_never_holds_on_an_invariant_form():
     for total in (4, 5):
         for fam in cli.standard_families(total):
             g, B = ls.build_algebra(fam)
-            for label, D in dv.closed_form_generators(fam, g):
+            for label, D in dv.closed_form_generators(g):
                 data = dx.prepare(g, B, D)
                 if data is not None:
                     ext = dx.build(g, B, data)

@@ -11,7 +11,7 @@ from char2lie.gf2core import span_dim
 
 def build_ext(built, args, label, m=0):
     fam, g, B = built(*args)
-    gens = dict(dv.closed_form_generators(fam, g))
+    gens = dict(dv.closed_form_generators(g))
     D = gens[label]
     return dx.build(g, B, dx.prepare(g, B, D, m=m))
 

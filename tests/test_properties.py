@@ -12,6 +12,7 @@ from char2lie import deriv as dv
 from char2lie import doubleext as dx
 from char2lie import invariants as inv
 from char2lie import liesuper as ls
+from char2lie import pipeline
 from char2lie import superfunc as sf
 from char2lie.gf2core import SpanBasis, solve_affine, span_dim
 
@@ -66,7 +67,7 @@ def test_central_element_orthogonal_to_commutant(built):
     for args, label in [(("h", "Pi", 0, 4), "Dtop"), (("le", "", 0, 0, 2), "Db[q1]"),
                         (("h", "Pi", 0, 5), "Dtop")]:
         fam, g, B = built(*args)
-        gens = dict(dv.closed_form_generators(fam, g))
+        gens = dict(dv.closed_form_generators(g))
         D = gens[label]
         ext = dx.build(g, B, dx.prepare(g, B, D))
         galg, form = ext.alg, ext.form
@@ -112,7 +113,7 @@ def test_blocked_solver_block_count_matches_grading(built):
 
 def test_identify_witness_is_bijective_and_checks(built):
     fam, g, B = built("h", "Pi", 0, 4)
-    gens = dict(dv.closed_form_generators(fam, g))
+    gens = dict(dv.closed_form_generators(g))
     ext = dx.build(g, B, dx.prepare(g, B, gens["Dtop"]))
     po, _ = ls.poisson_algebra(fam.space())
     w = dx.identify_canonical(ext, po)
@@ -162,12 +163,12 @@ def _ref_verify_axioms(g, max_failures):
     leibniz = g.is_leibniz
     tbl = _ref_table(g) if leibniz else g.brk
     pmask = [g.parity_mask(0), g.parity_mask(1)]
+    symmetric = True
     for i in range(n):
-        if not leibniz and g.brk[i][i]:
-            fails.append(("diagonal", i))
         for j in range(i, n):
             if tbl[i][j] != tbl[j][i]:
                 fails.append(("symmetry", i, j))
+                symmetric = False
             if tbl[i][j] & pmask[g.parity(i) ^ g.parity(j) ^ 1]:
                 fails.append(("bracket-parity", i, j))
         if not g.graded_only and g.parity(i) == 1 and g.sq[i] & pmask[1]:
@@ -175,7 +176,8 @@ def _ref_verify_axioms(g, max_failures):
         if len(fails) >= max_failures:
             return False, fails
     col = [[tbl[m][k] for m in range(n)] for k in range(n)]
-    if leibniz:
+    # an asymmetric table is reported by its symmetry entries, not summed
+    if leibniz and symmetric:
         for x in range(n):
             for y in range(n):
                 for z in range(n):
@@ -185,7 +187,7 @@ def _ref_verify_axioms(g, max_failures):
                         fails.append(("leibniz", x, y, z))
                         if len(fails) >= max_failures:
                             return False, fails
-    else:
+    elif symmetric:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
@@ -275,7 +277,7 @@ def _verification_bases():
     for args, m in ((("h", "Pi", 0, 4), 0), (("h", "Pi", 0, 5), 1)):
         fam = ls.family(*args)
         g, B = ls.build_algebra(fam)
-        D = dict(dv.closed_form_generators(fam, g))["Dtop"]
+        D = dict(dv.closed_form_generators(g))["Dtop"]
         ext = dx.build(g, B, dx.prepare(g, B, D, m=m))
         out.append((ext.alg, ext.form))
     out.append(_square_object())
@@ -398,6 +400,38 @@ def test_symmetric_flip_failures_match_reference_loops():
             for max_failures in (1, 7, 10**9):
                 ax = g.verify_axioms(max_failures)
                 assert (ax.ok, ax.failures) == _ref_verify_axioms(g, max_failures), (b, max_failures)
+
+
+def test_every_producer_writes_a_symmetric_table():
+    # verify_axioms sums Jacobi and Leibniz only on a symmetric table, so
+    # every object the library builds or reads has one: the standard
+    # families of sizes 4-6 and their po/b algebras, every extension that
+    # dex_family builds at sizes 4-5, po/center(po) at size 4, and the SCA
+    # round trip of each. One off-diagonal flip makes a table asymmetric:
+    # the report fails on its symmetry entry and sums no identity.
+    objects = []
+    for total in (4, 5, 6):
+        for fam in cli.standard_families(total):
+            po, B = ls.poisson_algebra(fam.space())
+            objects += [ls.build_algebra(fam), (po, B)]
+            if total == 4:
+                objects.append((ls.quotient(po, ls.center(po)), None))
+            if total < 6:
+                objects += [(ext.alg, ext.form) for r in pipeline.dex_family(fam)[1] for _, ext, _ in r.built]
+    assert len(objects) == 66 + 11 + 56
+    objects += [cli.sca_parse(cli.sca_dump(g, B)) for g, B in objects]
+    rng = random.Random(25)
+    leibniz = set()
+    for g, _ in objects:
+        assert all(g.brk[i][j] == g.brk[j][i] for i in range(g.n) for j in range(i)), g.meta.get("family")
+        i, j = sorted(rng.sample(range(g.n), 2))
+        bad = ls.StructureConstants(g.basis, g.brk, g.sq, meta=g.meta)
+        bad.brk[j][i] ^= 1 << rng.randrange(g.n)
+        ax = bad.verify_axioms(10**9)
+        assert not ax.ok and ("symmetry", i, j) in ax.failures, (g.meta.get("family"), i, j)
+        assert not {f[0] for f in ax.failures} & {"jacobi", "leibniz"}, (g.meta.get("family"), i, j)
+        leibniz.add(g.is_leibniz)
+    assert leibniz == {True, False}
 
 
 @st.composite
@@ -790,7 +824,7 @@ def test_is_derivation_matches_reference_on_closed_form_candidates(monkeypatch):
     monkeypatch.setattr(dv, "is_derivation", check)
     for total in (6, 7):
         for fam in cli.standard_families(total):
-            dv.closed_form_generators(fam)
+            dv.closed_form_generators(ls.build_algebra(fam)[0])
     assert (len(seen), seen.count(True)) == (224, 205)
     assert (len(flips), flips.count(True)) == (224, 0)
 
