@@ -8,7 +8,15 @@ import sys
 
 from char2lie import cli
 
-for total in map(int, sys.argv[1:]):
-    for f in cli.standard_families(total):
-        args = f"--family le --n {f.a}" if f.kind == "le" else f"--family h --form {f.form} --even {f.a} --odd {f.b}"
-        print(cli.family_slug(f), args)
+
+def family_args(f) -> list[str]:
+    """The per-family command arguments that name the family f."""
+    if f.kind == "le":
+        return ["--family", "le", "--n", str(f.a)]
+    return ["--family", "h", "--form", f.form, "--even", str(f.a), "--odd", str(f.b)]
+
+
+if __name__ == "__main__":
+    for total in map(int, sys.argv[1:]):
+        for f in cli.standard_families(total):
+            print(cli.family_slug(f), *family_args(f))

@@ -211,7 +211,7 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
 # ---------------------------------------------------------------------------
 
 
-def render_derivation_report(an: FamilyAnalysis) -> str:
+def render_derivation_report(an: FamilyAnalysis, gaps: list) -> str:
     out = [f"family {an.fam.name} [{an.mode}] dim {an.g.n} "
            f"sdim {len(an.g.even_indices())}|{len(an.g.odd_indices())} nis-parity {an.B.parity}"]
     out.append(f"derivations: dim {an.space.dim} inner {an.space.dim_inner} outer {an.space.dim_outer}")
@@ -224,10 +224,9 @@ def render_derivation_report(an: FamilyAnalysis) -> str:
             f"  {r.label:8s} deg {r.degree:+d} par {r.parity} count {r.count} "
             f"bilinear {'yes' if r.bilinear else 'no'} extra-odd {'yes' if r.extra_odd else 'no'}"
         )
-    extra = closed_form_gaps(an)
-    if extra:
+    if gaps:
         out.append("finding: outer classes beyond the closed-form generators: "
-                   + ", ".join(f"deg {k[0]:+d} wt {k[1]} par {k[2]} x{m}" for k, m in extra))
+                   + ", ".join(f"deg {k[0]:+d} wt {k[1]} par {k[2]} x{m}" for k, m in gaps))
     return "\n".join(out) + "\n"
 
 
@@ -360,7 +359,7 @@ def cmd_derivations(args) -> int:
     fam, check = _load_family(args)
     an = analyze_family(fam)
     check(an)
-    sys.stdout.write(render_derivation_report(an))
+    sys.stdout.write(render_derivation_report(an, closed_form_gaps(an)))
     return EXIT_OK
 
 

@@ -313,11 +313,14 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
     if target.basis[one].parity != pc or target.basis[top].parity != pd:
         return None
 
-    # phi0 (c -> 1, e_k -> iota(e_k), D -> top) and the unknowns, in order:
-    # beta_k on the a-elements of parity pc, y_k on those of parity pd (ys
-    # holds the target vector each adds to phi(D))
+    # phi0 (c -> 1, e_k -> iota(e_k), D -> top) as target basis positions
+    # (phi) and vectors (cols0), and the unknowns, in order: beta_k on the
+    # a-elements of parity pc, y_k on those of parity pd (ys holds the
+    # position of the target basis element each adds to phi(D)). phi0
+    # maps basis to basis, so each relation reads one target table entry
     unit = 1 << one
-    cols0 = [unit] + [1 << t for t in iota] + [1 << top]
+    phi = [one] + iota + [top]
+    cols0 = [1 << t for t in phi]
     a_idx = range(1, n - 1)
     beta = [0] * n
     nb = 0
@@ -325,15 +328,16 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
         if g.parity(k) == pc:
             beta[k] = 1 << nb
             nb += 1
-    ys = [cols0[k] for k in a_idx if g.parity(k) == pd]
+    ys = [phi[k] for k in a_idx if g.parity(k) == pd]
     nun = nb + len(ys)
 
     # an a-relation (ext value v, target value tv) holds up to the unit,
     # which beta(v) must cancel: the a-brackets, and the odd squares in
     # super mode
-    relations = ((g.brk[k][l], target.bracket_vec(cols0[k], cols0[l])) for k in a_idx for l in range(k + 1, n - 1))
+    tb = target.brk
+    relations = ((g.brk[k][l], tb[phi[k]][phi[l]]) for k in a_idx for l in range(k + 1, n - 1))
     if not (g.graded_only or target.graded_only):
-        relations = chain(relations, ((g.sq[k], target.sq_vec(cols0[k])) for k in a_idx if g.parity(k) == ODD))
+        relations = chain(relations, ((g.sq[k], target.sq[phi[k]]) for k in a_idx if g.parity(k) == ODD))
     rows = []  # (coefficient mask over the unknowns, rhs bit)
     for v, tv in relations:
         diff = xor_rows(cols0, v) ^ tv
@@ -344,8 +348,8 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
     # one row per target coordinate
     for k in a_idx:
         v = g.brk[n - 1][k]
-        diff = xor_rows(cols0, v) ^ target.bracket_vec(cols0[-1], cols0[k])
-        coeffs = [c << nb for c in transpose([target.bracket_vec(y, cols0[k]) for y in ys], n)]
+        diff = xor_rows(cols0, v) ^ tb[top][phi[k]]
+        coeffs = [c << nb for c in transpose([tb[y][phi[k]] for y in ys], n)]
         coeffs[one] |= xor_rows(beta, v)
         rows.extend((c, (diff >> t) & 1) for t, c in enumerate(coeffs))
 
@@ -360,7 +364,7 @@ def identify_canonical(ext: ExtendedAlgebra, target: StructureConstants) -> IsoW
     for mask in range(1 << len(kernel)):
         s = base ^ xor_rows(kernel, mask)
         cols = [c ^ (unit if s & b else 0) for c, b in zip(cols0, beta)]
-        cols[-1] ^= xor_rows(ys, s >> nb)
+        cols[-1] ^= xor_rows([1 << y for y in ys], s >> nb)
         if _verify_witness(ext, target, cols):
             return IsoWitness(tuple(cols))
     return None

@@ -61,8 +61,7 @@ class BilinearFormTable(namedtuple("BilinearFormTable", "gram parity")):
 
 
 class Subspace:
-    def __init__(self, ambient: "StructureConstants", rows: list[int]):
-        self.ambient = ambient
+    def __init__(self, rows: list[int]):
         self.rows = rows
 
     @property
@@ -523,7 +522,7 @@ def derived(g: StructureConstants, i: int = 1, start: list[int] | None = None) -
             _, odd_rows = _split_parity(g, rows)
             span.extend(chain((g.bracket_vec(a, b) for a, b in combinations(rows, 2)), map(g.sq_vec, odd_rows)))
         cur = span.rows
-    return Subspace(g, _reduced_rows([1 << k for k in range(g.n)] if cur is None else cur))
+    return Subspace(_reduced_rows([1 << k for k in range(g.n)] if cur is None else cur))
 
 
 def _reduced_rows(vectors: list[int]) -> list[int]:
@@ -549,7 +548,7 @@ def center(g: StructureConstants) -> Subspace:
     for j in range(g.n):
         # row t: the i with e_t in [e_i, e_j]
         span.extend(transpose([row[j] for row in g.brk], g.n))
-    return Subspace(g, span.kernel(g.n))
+    return Subspace(span.kernel(g.n))
 
 
 def odd_squares_span(g: StructureConstants) -> list[int]:
@@ -566,7 +565,7 @@ def special_center(g: StructureConstants, B: BilinearFormTable) -> Subspace:
     odd squares."""
     z = center(g)
     perp = B.orthogonal_complement(odd_squares_span(g))
-    return Subspace(g, _intersect(z.rows, perp, g.n))
+    return Subspace(_intersect(z.rows, perp, g.n))
 
 
 def _intersect(rows_a: list[int], rows_b: list[int], n: int) -> list[int]:

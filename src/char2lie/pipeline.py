@@ -19,11 +19,10 @@ def family_slug(fam: ls.FamilySpec) -> str:
 
 
 class DerivationRow:
-    def __init__(self, label: str, degree: int, weights: tuple, parity: int, count: int, bilinear: bool,
-                 extra_odd: bool, reps: list | None = None):
+    def __init__(self, label: str, degree: int, parity: int, count: int, bilinear: bool, extra_odd: bool,
+                 reps: list | None = None):
         self.label = label
         self.degree = degree
-        self.weights = weights
         self.parity = parity
         self.count = count
         self.bilinear = bilinear
@@ -45,8 +44,8 @@ class FamilyAnalysis:
         return "graded" if self.g.graded_only else "super"
 
 
-def _derivation_row(label, degree, weights, parity, maps, g, B) -> DerivationRow:
-    return DerivationRow(label, degree, weights, parity, len(maps),
+def _derivation_row(label, degree, parity, maps, g, B) -> DerivationRow:
+    return DerivationRow(label, degree, parity, len(maps),
                          all(dv.bilinear_invariant(m, B) for m in maps),
                          all(dv.extra_condition(m, B, g) for m in maps),
                          maps)
@@ -75,14 +74,12 @@ def analyze_family(fam: ls.FamilySpec) -> FamilyAnalysis:
     space = dv.derivation_space_blocked(g)
     rows: list[DerivationRow] = []
     zero_wt = (0,) * len(g.basis[0].weight)
-    db: dict = {}  # parity -> (weights, reps) of the degree-0 classes of nonzero weight
+    db: dict = {}  # parity -> reps of the degree-0 classes of nonzero weight
     for key in sorted(space.outer_reps):
         deg, wt, par = key
         reps = space.outer_reps[key]
         if deg == 0 and wt != zero_wt:
-            weights, maps = db.setdefault(par, (set(), []))
-            weights.add(wt)
-            maps.extend(reps)
+            db.setdefault(par, []).extend(reps)
         elif deg == 0:
             pres, other = _preserving_split(B, [d for d in space.all if d.shift == key],
                                             [d for d in space.inner if d.shift == key])
@@ -92,12 +89,11 @@ def analyze_family(fam: ls.FamilySpec) -> FamilyAnalysis:
             for vecs, label in [(pres, "D0"), (other, "Dtheta" if pres else "D0")]:
                 if vecs:
                     maps = [dv.LinearMap.from_vec(v, g.n, *key) for v in vecs]
-                    rows.append(_derivation_row(label, 0, (wt,), par, maps, g, B))
+                    rows.append(_derivation_row(label, 0, par, maps, g, B))
         else:
-            rows.append(_derivation_row(f"D({deg:+d})", deg, (wt,), par, list(reps), g, B))
+            rows.append(_derivation_row(f"D({deg:+d})", deg, par, list(reps), g, B))
     for par in sorted(db):
-        weights, maps = db[par]
-        rows.append(_derivation_row("Db", 0, tuple(sorted(weights)), par, maps, g, B))
+        rows.append(_derivation_row("Db", 0, par, db[par], g, B))
     order = {"Db": 1, "D0": 2, "Dtheta": 3}
     rows.sort(key=lambda r: (r.degree, order.get(r.label, 0), r.label, r.parity))
     return FamilyAnalysis(fam, g, B, space, rows)

@@ -524,7 +524,7 @@ def test_records_compare_by_value_and_own_their_containers():
         (lambda: ls.AxiomReport(True), "failures"),
         (lambda: dv.DerivationSpace([], [], {}), "block_stats"),
         (lambda: dx.RecognitionReport(False, False, False, False), "witnesses"),
-        (lambda: pipeline.DerivationRow("D0", 0, (), 0, 0, True, True), "reps"),
+        (lambda: pipeline.DerivationRow("D0", 0, 0, 0, True, True), "reps"),
         (lambda: pipeline.DexRow("D0", 0, 0, 0, True, "", ""), "built"),
     ]:
         a, b = getattr(make(), name), getattr(make(), name)
