@@ -39,6 +39,7 @@ PINS = {
     "dex-7": ((7,), ("build", "dex")),
     "derivations-6-7": ((6, 7), ("derivations",)),
     "derivations-8": ((8,), ("derivations",)),
+    "derivations-9": ((9,), ("derivations",)),
     "fingerprint-6-7": ((6, 7), ("fingerprint",)),
     "fingerprint-8": ((8,), ("fingerprint",)),
     "po-4-6": ((4, 5, 6), (po_tables,)),

@@ -25,6 +25,18 @@ under the family's variable symmetries (`liesuper.symmetries`): an
 automorphism p carries the derivations of one shift onto those of
 another by D -> p D p^-1, so the other blocks of the orbit are copies.
 The naive solver solves everything at once, so it checks the copies too.
+
+Most shifts hold no outer class, and the blocked solver stops each
+solved block as soon as its equations show it.  The ad(e_k) of a shift
+that satisfy Der2, the squaring identity [e_k, x^2] = [[e_k, x], x] at
+every odd x, are derivations: Der1 for ad(e_k) is Jacobi, which the
+generating-set lemma already assumes.  If r is their rank, the block's
+kernel contains a space of dimension r, so once the rank of its rows is
+its size less r the kernel is exactly their span, and no more of its rows
+are emitted.  The bound uses that rank, never the size of the cell (an
+e_k in the center has ad(e_k) = 0), and an ad(e_k) that fails Der2 does
+not count.  The naive solver has no such shortcut, and its inner
+derivations are built by `_finish` from the flattened ad(e_k).
 """
 
 from __future__ import annotations
@@ -126,6 +138,7 @@ class DerivationSpace:
         self.inner = inner
         self.outer_reps = outer_reps  # ShiftKey -> list[LinearMap]
         self.block_stats = {} if block_stats is None else block_stats
+        self.gens = None  # the generating set the blocked solver used
 
     @property
     def dim(self) -> int:
@@ -208,25 +221,64 @@ def derivation_space_naive(g: StructureConstants) -> DerivationSpace:
     return _finish(g, maps, {"path": "naive", "blocks": 1, "max_block": n * n})
 
 
-def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict) -> DerivationSpace:
-    # ad(e_k) is kept only when it is independent of the earlier ones of
-    # its shift, so `inner` is a basis and dim_inner is n - dim(center)
-    inner = []
-    inner_by_shift: dict[ShiftKey, SpanBasis] = {}
-    for k, row in enumerate(g.brk):
-        d = LinearMap(tuple(row), *g.cell_key(k))
-        if inner_by_shift.setdefault(d.shift, SpanBasis()).add(d.as_vec()):
-            inner.append(d)
+def _finish(g: StructureConstants, maps: list[LinearMap], stats: dict, inner: list[LinearMap] | None = None,
+            settled=frozenset()) -> DerivationSpace:
+    """The space of `maps`, its inner derivations and the outer
+    representatives of each shift: the rows of the reduced echelon form of
+    the shift's maps, flattened, whose pivots are not those of its inner
+    derivations.  `inner` defaults to the ad(e_k) kept when independent of
+    the earlier ones of their shift, so that it is a basis and dim_inner
+    is n - dim(center).  A shift in `settled` is known to hold no outer
+    class and is skipped."""
+    if inner is None:
+        inner = []
+        inner_by_shift: dict[ShiftKey, SpanBasis] = {}
+        for k, row in enumerate(g.brk):
+            d = LinearMap(tuple(row), *g.cell_key(k))
+            if inner_by_shift.setdefault(d.shift, SpanBasis()).add(d.as_vec()):
+                inner.append(d)
     by_shift: dict[ShiftKey, list[int]] = {}
     for d in maps:
-        by_shift.setdefault(d.shift, []).append(d.as_vec())
+        if d.shift not in settled:
+            by_shift.setdefault(d.shift, []).append(d.as_vec())
+    base: dict[ShiftKey, list[int]] = {}
+    for d in inner:
+        if d.shift in by_shift:
+            base.setdefault(d.shift, []).append(d.as_vec())
     outer: dict[ShiftKey, list[LinearMap]] = {}
     for key in sorted(by_shift):
-        base = inner_by_shift.get(key)
-        reps = echelon_complement(base.rows if base else [], by_shift[key])
+        reps = echelon_complement(base.get(key, []), by_shift[key])
         if reps:
             outer[key] = [LinearMap.from_vec(r, g.n, *key) for r in reps]
     return DerivationSpace(maps, inner, outer, stats)
+
+
+def _saturation_rank(size: int, known: int) -> int:
+    """The rank at which a block of `size` unknowns has for its kernel the
+    span of its `known` independent derivations: that kernel has dimension
+    at least `known`, so once the rank of the block's equations is
+    size - known the two are equal."""
+    return size - known
+
+
+def _ad_squaring_holds(g: StructureConstants, perms) -> list[bool]:
+    """For each k, whether ad(e_k) satisfies Der2, the squaring identity
+    [e_k, x^2] = [[e_k, x], x] at every odd basis x (always, on a graded
+    only object); with Jacobi, which gives Der1, ad(e_k) is then a
+    derivation.  The automorphisms `perms` carry the identity at e_k to
+    the one at e_p[k], squares included, so it is checked at one index of
+    each of their orbits.  The table of a Lie object is symmetric, so
+    [y, x] is read off the row brk[x]."""
+    ok = [True] * g.n
+    if g.graded_only:
+        return ok
+    T, sq, odd = g.brk, g.sq, g.odd_indices()
+    for orbit in orbits(perms, g.n):
+        row = T[orbit[0][0]]
+        if not all(xor_rows(row, sq[x]) == xor_rows(T[x], row[x]) for x in odd):
+            for k, _, _ in orbit:
+                ok[k] = False
+    return ok
 
 
 def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
@@ -244,7 +296,20 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     reached from, its entries (t, s) moved to (p t, p s).  Each block's
     kernel, solved or copied, is put through one `SpanBasis` and its
     reduced rows are the block's maps, so the maps are those of a solve
-    of every block."""
+    of every block.
+
+    A solved block's rows are eliminated as `_equations` yields them.
+    Once their rank reaches `_saturation_rank`, the block's size less the
+    rank r of the ad(e_k) of its shift that pass Der2
+    (`_ad_squaring_holds`), its kernel is the span of those ad(e_k): the
+    block leaves the `keep` masks, and `_equations` emits no more of its
+    rows.  r is a rank, never the size of the cell, and Der2 is checked
+    (Der1 is Jacobi, assumed as above).  Every block of an orbit whose
+    first block stopped takes the span of its own such ad(e_k) as its
+    kernel, with no move along the symmetry, and `_finish` flattens none
+    of the maps of those shifts, since no outer class lives there.  A
+    space has one reduced echelon form, so `all`, `inner` and
+    `outer_reps` are those of a solve of every block to the end."""
     if g.is_leibniz:
         raise ValueError("the blocked solver needs a Lie object (Jacobi); this one has a Leibniz diagonal")
     n = g.n
@@ -299,32 +364,85 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     moves = [[place[kc[p[t]] - kc[p[s]] + (par[t] ^ par[s])] for t, s in (blocks[c][1][0] for c in order)]
              for p in perms]
     orbs = orbits(moves, len(order))
-    solved = {order[orbit[0][0]] for orbit in orbs}
+    solved = [order[orbit[0][0]] for orbit in orbs]
 
-    # the output coordinates t of a pair (i, j) whose equations fall in a
-    # solved block, one mask per (code sum, parity) of the pair
+    # ad(e_k), in the coordinates of its block (the code of the shift
+    # cell_key(k)): `inner` keeps it when it is independent of the earlier
+    # ones of its block, and `known` spans the ones that are derivations
+    der2 = _ad_squaring_holds(g, perms)
+    inner = []
+    spans: dict[int, SpanBasis] = {}
+    known: dict[int, SpanBasis] = {}
+    for k, row in enumerate(g.brk):
+        w = 0
+        for s, v in enumerate(row):
+            if v:
+                bs = bit[s]
+                for t in bit_indices(v):
+                    w |= bs[t]
+        if w:
+            c = kc[k] + par[k]
+            if spans.setdefault(c, SpanBasis()).add(w):
+                inner.append(LinearMap(tuple(row), *g.cell_key(k)))
+            if der2[k]:
+                known.setdefault(c, SpanBasis()).add(w)
+
+    # each solved block's rows are eliminated as they come, and the block
+    # stops once its rank reaches `bound`: its kernel is then the span of
+    # `known`.  keep_masks[s + q] is the mask of the output coordinates t of a
+    # pair (i, j) with kc[i] + kc[j] = s and parity q whose equations fall
+    # in a block still live; the cell of t and the code c of the block fix
+    # s and q
+    bound = {c: _saturation_rank(len(blocks[c][1]), known[c].dim if c in known else 0) for c in solved}
+    live = {c: {} for c in solved if bound[c] > 0}  # forward-reduced rows by lowest bit + 1
     keep_masks: dict[int, int] = {}
 
-    def keep(i: int, j: int) -> int:
-        s, q = kc[i] + kc[j], par[i] ^ par[j]
-        m = keep_masks.get(s | q)
-        if m is None:
-            m = keep_masks[s | q] = sum(mask for ct, pt, mask in cell_masks if ct - s + (pt ^ q) in solved)
-        return m
+    def cell_keys(c):
+        for ct, pt, mask in cell_masks:
+            yield ct - (c & ~1) + ((c & 1) ^ pt), mask
 
-    rows: dict[int, set[int]] = {c: set() for c in solved}
+    for c in live:
+        for key, mask in cell_keys(c):
+            keep_masks[key] = keep_masks.get(key, 0) | mask
     emitted = 0
-    for i, j, t, row in _equations(g, bit, gens, keep):
-        rows[kc[t] - kc[i] - kc[j] + (par[t] ^ par[i] ^ par[j])].add(row)
+    for i, j, t, row in _equations(g, bit, gens, lambda i, j: keep_masks.get(kc[i] + kc[j] + (par[i] ^ par[j]), 0)):
+        c = kc[t] - kc[i] - kc[j] + (par[t] ^ par[i] ^ par[j])
+        rows = live.get(c)
+        if rows is None:  # the block stopped on an earlier row of this pair
+            continue
         emitted += 1
+        while row:
+            low = (row & -row).bit_length()
+            prev = rows.get(low)
+            if prev is None:
+                rows[low] = row
+                break
+            row ^= prev
+        if len(rows) == bound[c]:
+            del live[c]
+            for key, mask in cell_keys(c):
+                keep_masks[key] &= ~mask
+            if not live:
+                break
 
+    # an orbit whose first block stopped: every block of it has the span of
+    # its own `known` as its kernel, and no outer class
     kernels: list[list[int]] = [[] for _ in order]
+    settled = set()
     solved_rank = 0
     for orbit in orbs:
+        rep = order[orbit[0][0]]
+        if rep not in live:
+            for b, _, _ in orbit:
+                c = order[b]
+                kernels[b] = known[c].rows if c in known else []
+                settled.add(c)
+            solved_rank += bound[rep]
+            continue
         for b, a, k in orbit:
             if a is None:
                 span = SpanBasis()
-                span.extend(rows[order[b]])
+                span.extend(live[rep].values())
                 solved_rank += span.dim
                 kernels[b] = span.kernel(len(blocks[order[b]][1]))
             else:
@@ -343,7 +461,7 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     for c, kernel in zip(order, kernels):
         skey, ents = blocks[c]
         rank += len(ents) - len(kernel)
-        if kernel:
+        if kernel and c not in settled:
             span = SpanBasis()
             span.extend(kernel)
             kernel = span.rows
@@ -354,10 +472,12 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
                 cols[s] |= 1 << t
             maps.append(LinearMap(tuple(cols), *skey))
 
-    stats = {"path": "blocked", "blocks": len(blocks), "solved": len(solved),
+    stats = {"path": "blocked", "blocks": len(blocks), "solved": len(solved), "settled": len(settled),
              "max_block": max((len(e) for _, e in blocks.values()), default=0),
-             "rows": emitted, "distinct": sum(map(len, rows.values())), "solved_rank": solved_rank, "rank": rank}
-    return _finish(g, maps, stats)
+             "rows": emitted, "solved_rank": solved_rank, "rank": rank}
+    space = _finish(g, maps, stats, inner, {blocks[c][0] for c in settled})
+    space.gens = gens
+    return space
 
 
 def spaces_equal(a: DerivationSpace, b: DerivationSpace) -> bool:
@@ -447,17 +567,19 @@ def _diag_projector(g: StructureConstants, keep) -> LinearMap:
     return _rank_one_sum(g, images)
 
 
-def closed_form_generators(g: StructureConstants) -> list[tuple[str, "LinearMap"]]:
+def closed_form_generators(g: StructureConstants, gens: list[int] | None = None) -> list[tuple[str, "LinearMap"]]:
     """The closed-form outer derivation candidates for the algebra of a
     family, filtered by a mechanical Der1/Der2 check.  Returns (label, map)
-    pairs."""
+    pairs.  `gens` is `generating_set(g)` when the caller has it already
+    (the blocked solver's `DerivationSpace.gens`)."""
     space: sf.Space = g.meta["space"]
     masks = g.meta["masks"]
     nv = space.nvars
     out: list[tuple[str, LinearMap]] = []
 
     # Der1 on the pairs of a generating set suffices on a Lie object
-    gens = None if g.is_leibniz else generating_set(g)
+    if gens is None and not g.is_leibniz:
+        gens = generating_set(g)
 
     def consider(label: str, D: LinearMap):
         if not D.is_zero() and is_derivation(g, D, gens):

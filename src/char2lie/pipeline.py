@@ -101,12 +101,19 @@ def analyze_family(fam: ls.FamilySpec) -> FamilyAnalysis:
 
 def closed_form_gaps(an: FamilyAnalysis) -> list:
     """The (shift, count) of each outer cell with classes that the inner
-    derivations and the closed-form generators do not span."""
-    span = SpanBasis()
-    span.extend(d.as_vec() for d in an.space.inner + [D for _, D in dv.closed_form_generators(an.g)])
+    derivations and the closed-form generators do not span.  Maps of
+    distinct shifts touch disjoint entries, so each outer cell is reduced
+    against the inner derivations and candidates of its own shift only."""
+    outer = an.space.outer_reps
+    sub: dict = {key: [] for key in outer}
+    for d in an.space.inner + [D for _, D in dv.closed_form_generators(an.g, an.space.gens)]:
+        if d.shift in sub:
+            sub[d.shift].append(d.as_vec())
     extra = []
-    for key in sorted(an.space.outer_reps):
-        miss = sum(1 for d in an.space.outer_reps[key] if not span.contains(d.as_vec()))
+    for key in sorted(outer):
+        span = SpanBasis()
+        span.extend(sub[key])
+        miss = sum(1 for d in outer[key] if not span.contains(d.as_vec()))
         if miss:
             extra.append((key, miss))
     return extra

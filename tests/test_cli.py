@@ -276,15 +276,17 @@ def test_commands_build_the_family_once(tmp_path, capsys, monkeypatch):
     args = ["--family", "h", "--form", "Pi", "--even", "0", "--odd", "4", "--out", str(tmp_path)]
     assert run_cli("build", *args) == 0
     # the pipeline looks the build and the solver up on their modules, so
-    # a wrapper set there sees each call
+    # a wrapper set there sees each call; the generating set the solver
+    # finds is the one the closed-form filter of `derivations` uses
     calls = []
-    build, solve = ls.build_algebra, dv.derivation_space_blocked
+    build, solve, gens = ls.build_algebra, dv.derivation_space_blocked, dv.generating_set
     monkeypatch.setattr(ls, "build_algebra", lambda fam: calls.append("build") or build(fam))
     monkeypatch.setattr(dv, "derivation_space_blocked", lambda g: calls.append("solve") or solve(g))
+    monkeypatch.setattr(dv, "generating_set", lambda g: calls.append("gens") or gens(g))
     for cmd in ("derivations", "dex", "identify"):
         calls.clear()
         assert run_cli(cmd, *args) == 0
-        assert sorted(calls) == ["build", "solve"], cmd
+        assert sorted(calls) == ["build", "gens", "solve"], cmd
 
 
 def test_cmd_derivations_missing_input(tmp_path):

@@ -4,6 +4,7 @@ from char2lie import cli
 from char2lie import deriv as dv
 from char2lie import doubleext as dx
 from char2lie import liesuper as ls
+from char2lie import pipeline
 from char2lie.gf2core import BitMatrix, SpanBasis, unflatten_cols
 
 
@@ -123,12 +124,13 @@ def test_blocked_stats_recorded(built):
     assert ds.block_stats["path"] == "blocked"
     assert ds.block_stats["blocks"] > 1
     assert ds.block_stats["max_block"] >= 1
-    # rows and distinct count what was emitted for the solved blocks, whose
-    # ranks add up to solved_rank; every unknown sits in one block, so the
-    # ranks of all blocks, copied ones included, add up to n^2 - dim
+    # rows counts what was emitted for the solved blocks before each one
+    # stopped, and their ranks add up to solved_rank; every unknown sits in
+    # one block, so the ranks of all blocks, copied ones included, add up
+    # to n^2 - dim
     st = ds.block_stats
-    assert st["blocks"] > st["solved"] >= 1
-    assert st["rows"] >= st["distinct"] >= st["solved_rank"]
+    assert st["blocks"] > st["solved"] >= 1 and st["blocks"] >= st["settled"]
+    assert st["rows"] >= st["solved_rank"]
     assert st["rank"] == g.n * g.n - ds.dim > st["solved_rank"]
 
 
@@ -290,7 +292,8 @@ def test_outer_count_0_6_includes_extra_class(built):
 
 
 def _maps(space):
-    return [(d.shift, d.cols) for d in space.all], sorted((k, [d.cols for d in v]) for k, v in space.outer_reps.items())
+    return ([(d.shift, d.cols) for d in space.all], [d.cols for d in space.inner],
+            sorted((k, [d.cols for d in v]) for k, v in space.outer_reps.items()))
 
 
 def test_symmetric_solve_equals_the_solve_of_every_block(monkeypatch):
@@ -312,11 +315,50 @@ def test_symmetric_solve_equals_the_solve_of_every_block(monkeypatch):
     assert len(solved) == 41 and solved["hPi(1)(0|7)"] == 84
 
 
-def test_flipped_square_keeps_blocked_equal_to_naive():
-    # a square that breaks some symmetries (see test_liesuper): the solver
-    # must not copy kernels along them, since Der2 reads the squares
+def _flipped_square():
+    # a square that breaks some symmetries (see test_liesuper)
     g, _ = ls.build_algebra(ls.family("h", "I", 0, 6))
     masks = g.meta["masks"]
     g.sq[masks.index(0b010011)] ^= 1 << masks.index(0b110011)
+    return g
+
+
+def test_flipped_square_keeps_blocked_equal_to_naive():
+    # the solver must not copy kernels along the broken symmetries, since
+    # Der2 reads the squares, and some ad(e_k) fail Der2 here, so they must
+    # not count towards the rank at which a block stops
+    g = _flipped_square()
     assert len(ls.symmetries(g)) == 2
+    assert not all(dv._ad_squaring_holds(g, []))
     assert dv.spaces_equal(dv.derivation_space_naive(g), dv.derivation_space_blocked(g))
+
+
+def test_stopping_at_the_inner_rank_leaves_every_space_unchanged(monkeypatch):
+    # a block stops once its rank leaves only the span of its ad(e_k) that
+    # are derivations; with no bound every solved block is eliminated to
+    # the end, and all, inner and outer_reps must read the same, in order.
+    # The 41 standard families of sizes 4 to 7; the 35 Lie double
+    # extensions of sizes 4 and 5, each with a center, so that the rank of
+    # the ad(e_k) of a cell falls short of its size; the flipped square,
+    # where some ad(e_k) fail Der2; and an object with nonzero odd squares
+    from tests.test_properties import _square_object
+
+    objects = [(f.name, ls.build_algebra(f)[0]) for total in (4, 5, 6, 7) for f in cli.standard_families(total)]
+    for total in (4, 5):
+        for fam in cli.standard_families(total):
+            for row in pipeline.dex_family(fam)[1]:
+                objects += [(name, ext.alg) for name, ext, _ in row.built if not ext.alg.is_leibniz]
+    objects += [("flipped square", _flipped_square()), ("odd squares", _square_object()[0])]
+    assert len(objects) == 41 + 35 + 2
+    assert all(ls.center(g).dim for _, g in objects[41:76])
+    settled = 0
+    for name, g in objects:
+        bounded = dv.derivation_space_blocked(g)
+        monkeypatch.setattr(dv, "_saturation_rank", lambda size, known: size + 1)
+        full = dv.derivation_space_blocked(g)
+        monkeypatch.undo()
+        assert _maps(bounded) == _maps(full), name
+        assert full.block_stats["settled"] == 0 and full.block_stats["rank"] == bounded.block_stats["rank"], name
+        assert bounded.block_stats["rows"] <= full.block_stats["rows"], name
+        settled += bounded.block_stats["settled"]
+    assert settled
