@@ -430,12 +430,28 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def _dex_report_parts(fams: list, workers: int) -> list:
+def _pin(cpus) -> None:
+    """Set this process's affinity mask to cpus, best effort: an OSError
+    (say, for a CPU id the host does not have) leaves the mask as it was,
+    which can cost speed but changes no result."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+def _dex_report_parts(fams: list, cpus) -> list:
     """(dex table text, CSV lines, failed) of each family, in family order.
 
-    The families are dealt out to w = min(workers, len(fams)) processes:
+    The families are dealt out to w = min(len(cpus), len(fams)) processes:
     the parent computes fams[0::w] and each of w - 1 forked children
-    fams[k::w]. A child sends its list, or the exception that stopped it,
+    fams[k::w]. With w > 1, worker k pins itself to sorted(cpus)[k] (a
+    child right after the fork, the parent before its own share), since
+    the kernel may otherwise leave a forked child on its parent's CPU for
+    the whole run, and the shares then take turns on one core. Pinning is
+    best effort (_pin), and the parent restores the mask it had before, in
+    a finally, so also when a share raises. With w = 1 the affinity is not
+    touched. A child sends its list, or the exception that stopped it,
     pickled through a pipe and ends with os._exit. The parent reads every
     pipe before it reaps the children, and kills them first when its own
     share raises, so that no child outlives the call."""
@@ -450,7 +466,9 @@ def _dex_report_parts(fams: list, workers: int) -> list:
                         any(r.verdict == "fail" for r in rows)))
         return out
 
-    w = max(1, min(workers, len(fams)))
+    w = max(1, min(len(cpus), len(fams)))
+    cpus = sorted(cpus)
+    mask = os.sched_getaffinity(0) if w > 1 else None
     children = []  # (pid, read end of its pipe)
     sent = None
     try:
@@ -460,6 +478,7 @@ def _dex_report_parts(fams: list, workers: int) -> list:
             if pid == 0:
                 code = 1
                 try:
+                    _pin({cpus[k]})
                     os.close(r)
                     try:
                         msg = (True, share(k, w))
@@ -472,9 +491,13 @@ def _dex_report_parts(fams: list, workers: int) -> list:
                     os._exit(code)
             os.close(wr)
             children.append((pid, os.fdopen(r, "rb")))
+        if mask is not None:
+            _pin({cpus[0]})
         parts = [share(0, w)]
         sent = [f.read() for _, f in children]
     finally:
+        if mask is not None:
+            _pin(mask)
         for pid, f in children:
             f.close()
             if sent is None:
@@ -506,8 +529,8 @@ def cmd_report(args) -> int:
         check_range(fam)
     outdir = Path(args.out)
     _write_files(outdir, [])  # an unusable --out fails before the computation
-    workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    parts = _dex_report_parts(fams, workers)
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else {0}
+    parts = _dex_report_parts(fams, cpus)
     text = "\n".join(table for table, _, _ in parts)
     csvs = [DEX_CSV_HEADER] + [line for _, lines, _ in parts for line in lines]
     _write_files(outdir, [("report.txt", text), ("report.csv", "\n".join(csvs) + "\n")])

@@ -737,13 +737,6 @@ def orbits(perms, npoints: int) -> list[list[tuple[int, int | None, int | None]]
     return out
 
 
-def inner_span(g: StructureConstants) -> SpanBasis:
-    """Span of the inner derivations ad(e_k), flattened by `flatten_cols`."""
-    span = SpanBasis()
-    span.extend(flatten_cols(row, g.n) for row in g.brk)
-    return span
-
-
 def ad_preimage(g: StructureConstants, maps) -> list[int | None]:
     """For each map flattened by `flatten_cols`, an element y with ad_y
     equal to it, or None when the map is not inner.

@@ -351,11 +351,13 @@ def test_unwritable_dex_output_rejected(tmp_path, capsys):
 @pytest.fixture
 def no_child_left():
     """Fail a report that does not end within 30 s, and require that no
-    child process is left after it."""
+    child process is left after it and that the process has the affinity
+    mask it had before, also when the report failed."""
 
     def timeout(signum, frame):
         raise TimeoutError("report did not end")
 
+    mask = os.sched_getaffinity(0)
     old = signal.signal(signal.SIGALRM, timeout)
     signal.alarm(30)
     try:
@@ -365,21 +367,50 @@ def no_child_left():
         signal.signal(signal.SIGALRM, old)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == mask
+
+
+ABSENT_CPU = 1 << 16  # above any kernel's CPU limit: pinning to it fails with EINVAL
 
 
 def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    """Deal the report over n CPU ids: at most two of the real mask, then
+    ids no host has, so that the third of n = 3 cannot be pinned and runs
+    unpinned. os.sched_getaffinity stays real, so the parent saves and
+    restores the real mask on a host with any number of CPUs."""
+    ids = (sorted(os.sched_getaffinity(0))[:2] + [ABSENT_CPU + i for i in range(n)])[:n]
+    parts = cli._dex_report_parts
+    monkeypatch.setattr(cli, "_dex_report_parts", lambda fams, cpus: parts(fams, ids))
+    return ids
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_report_split_over_cpus_keeps_its_bytes(tmp_path, capsys, monkeypatch, no_child_left, cpus):
     # the families are dealt out to min(cpus, families) processes and the
-    # results merged in family order: the same bytes for any count
-    _cpus(monkeypatch, cpus)
-    assert run_cli("report", "--sizes", "4", "5", "--out", str(tmp_path)) == 0
+    # results merged in family order: the same bytes for any count. Worker
+    # k, whose share starts with family k, runs pinned to the k-th CPU id,
+    # or unpinned when the kernel refuses that id; a single worker leaves
+    # the mask alone
+    mask = os.sched_getaffinity(0)
+    ids = _cpus(monkeypatch, cpus)
+    fams = cli.standard_families(4)
+    dex = cli.dex_family
+    seen = tmp_path / "masks"
+    seen.mkdir()
+
+    def watched(fam):
+        if fam in fams[:cpus]:
+            (seen / str(fams.index(fam))).write_text(repr(sorted(os.sched_getaffinity(0))))
+        return dex(fam)
+
+    monkeypatch.setattr(cli, "dex_family", watched)
+    out = tmp_path / "out"
+    assert run_cli("report", "--sizes", "4", "5", "--out", str(out)) == 0
     for name, want in REPORT_4_5_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
-    assert capsys.readouterr().out == (tmp_path / "report.txt").read_text()
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == want, name
+    assert capsys.readouterr().out == (out / "report.txt").read_text()
+    want = [mask] if cpus == 1 else [{c} if c in mask else mask for c in ids]
+    assert [(seen / str(k)).read_text() for k in range(cpus)] == [repr(sorted(m)) for m in want]
 
 
 @pytest.mark.parametrize("where", ["parent", "child"])

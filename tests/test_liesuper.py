@@ -223,7 +223,8 @@ def test_ad_preimage_with_a_center():
         maps = [flatten_cols(g.ad_cols(rng.getrandbits(n)), n) for _ in range(20)]
         maps += [flatten_cols(ls.compose_cols(c, c), n) for c in map(g.ad_cols, (1 << i for i in range(n)))]
         maps += [rng.getrandbits(n * n) for _ in range(20)]
-        span = ls.inner_span(g)
+        span = SpanBasis()  # the ad(e_k), with no marker bits: an oracle apart from ad_preimage
+        span.extend(flatten_cols(row, n) for row in g.brk)
         found = ls.ad_preimage(g, maps)
         assert None in found and any(y is not None for y in found)
         for v, y in zip(maps, found):
