@@ -40,6 +40,7 @@ PINS = {
     "derivations-6-7": ((6, 7), ("derivations",)),
     "derivations-8": ((8,), ("derivations",)),
     "derivations-9": ((9,), ("derivations",)),
+    "derivations-10": ((10,), ("derivations",)),
     "fingerprint-6-7": ((6, 7), ("fingerprint",)),
     "fingerprint-8": ((8,), ("fingerprint",)),
     "po-4-6": ((4, 5, 6), (po_tables,)),

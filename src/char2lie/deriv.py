@@ -41,6 +41,7 @@ derivations are built by `_finish` from the flattened ad(e_k).
 
 from __future__ import annotations
 
+from array import array
 from collections import namedtuple
 from operator import xor
 
@@ -158,7 +159,9 @@ def _equations(g: StructureConstants, bit, gens=None, keep=None):
     and of (i, i) where the Leibniz diagonal [e_i, e_i] is nonzero, and,
     unless g is graded only, Der2 of odd i (given as j = i), at output
     coordinate t.  bit[s][t] is the mask of the unknown D[t][s], the
-    coefficient of e_t in D e_s.
+    coefficient of e_t in D e_s.  It is read only where a row can be
+    emitted, so a caller whose `keep` excludes an unknown's rows may leave
+    its mask 0.
 
     With `gens`, the basis indices of a generating set S, Der1 is emitted
     only on the pairs with i or j in S.  When g satisfies Jacobi these cut
@@ -168,11 +171,17 @@ def _equations(g: StructureConstants, bit, gens=None, keep=None):
     With `keep`, only the t in the mask keep(i, j) are emitted."""
     n = g.n
     full = (1 << n) - 1
-    # rev[j][t]: mask of the u with e_t in [e_u, e_j]
-    rev = [transpose([row[j] for row in g.brk], n) for j in range(n)]
-    revb = [[bit_indices(m) if m else () for m in row] for row in rev]
+    # revb[j][t]: the u with e_t in [e_u, e_j], ascending; tmask[j]: the
     # output coordinates that bracketing with e_j can reach
-    tmask = [sum(1 << t for t in range(n) if rev[j][t]) for j in range(n)]
+    revb = [[()] * n for _ in range(n)]
+    tmask = [0] * n
+    for u, row in enumerate(g.brk):
+        for j, v in enumerate(row):
+            if v:
+                tmask[j] |= v
+                rj = revb[j]
+                for t in bit_indices(v):
+                    rj[t] += (u,)
     gmask = full if gens is None else sum(1 << s for s in gens)
     for i in range(n):
         bi = bit[i]
@@ -309,7 +318,13 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     kernel, with no move along the symmetry, and `_finish` flattens none
     of the maps of those shifts, since no outer class lives there.  A
     space has one reduced echelon form, so `all`, `inner` and
-    `outer_reps` are those of a solve of every block to the end."""
+    `outer_reps` are those of a solve of every block to the end.
+
+    The n^2 unknowns are kept in flat int arrays: each block lists its
+    unknowns D[t][s] as the codes s n + t, and pos[s][t] is the index of
+    D[t][s] in its block.  The single-bit masks that `_equations` reads
+    are made only for the unknowns of the blocks still live when their
+    rows start, since `keep` emits no row of any other block."""
     if g.is_leibniz:
         raise ValueError("the blocked solver needs a Lie object (Jacobi); this one has a Leibniz diagonal")
     n = g.n
@@ -326,22 +341,24 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     par = [g.parity(i) for i in range(n)]
 
     # one block per shift between two cells, its unknowns D[t][s] in the
-    # order of the sorted source cells; a shift that no equation
-    # constrains keeps all of its unknowns free
+    # order of the sorted source cells, each stored as the code s n + t;
+    # pos[s][t] is the index of D[t][s] in its block.  A shift that no
+    # equation constrains keeps all of its unknowns free
     cells = g.cells()
     ccode = {k: code(k) for k in cells}
-    blocks: dict[int, tuple[ShiftKey, list[tuple[int, int]]]] = {}
-    bit = [[0] * n for _ in range(n)]
+    blocks: dict[int, tuple[ShiftKey, array]] = {}
+    pos = [array("l", [0]) * n for _ in range(n)]
     for ks, src in sorted(cells.items()):
         for kt, tgt in cells.items():
             c = ccode[kt] - ccode[ks] + (kt[2] ^ ks[2])
             if c not in blocks:
-                blocks[c] = (cell_shift(ks, kt), [])
+                blocks[c] = (cell_shift(ks, kt), array("l"))
             ents = blocks[c][1]
             for s in src:
+                ps, sn = pos[s], s * n
                 for t in tgt:
-                    bit[s][t] = 1 << len(ents)
-                    ents.append((t, s))
+                    ps[t] = len(ents)
+                    ents.append(sn + t)
 
     kc = [ccode[g.cell_key(i)] for i in range(n)]
     # the mask of each cell by its code and parity; [e_i, e_j] must lie in
@@ -361,7 +378,7 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
     place = {c: b for b, c in enumerate(order)}
     gens = generating_set(g)
     perms = symmetries(g, gens)
-    moves = [[place[kc[p[t]] - kc[p[s]] + (par[t] ^ par[s])] for t, s in (blocks[c][1][0] for c in order)]
+    moves = [[place[kc[p[t]] - kc[p[s]] + (par[t] ^ par[s])] for s, t in (divmod(blocks[c][1][0], n) for c in order)]
              for p in perms]
     orbs = orbits(moves, len(order))
     solved = [order[orbit[0][0]] for orbit in orbs]
@@ -377,9 +394,9 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
         w = 0
         for s, v in enumerate(row):
             if v:
-                bs = bit[s]
+                ps = pos[s]
                 for t in bit_indices(v):
-                    w |= bs[t]
+                    w |= 1 << ps[t]
         if w:
             c = kc[k] + par[k]
             if spans.setdefault(c, SpanBasis()).add(w):
@@ -401,9 +418,14 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
         for ct, pt, mask in cell_masks:
             yield ct - (c & ~1) + ((c & 1) ^ pt), mask
 
+    # the single-bit mask of each unknown of a live block: `keep` emits
+    # rows of those blocks only, so every other unknown stays 0
+    bit = [[0] * n for _ in range(n)]
     for c in live:
         for key, mask in cell_keys(c):
             keep_masks[key] = keep_masks.get(key, 0) | mask
+        for e, st in enumerate(blocks[c][1]):
+            bit[st // n][st % n] = 1 << e
     emitted = 0
     for i, j, t, row in _equations(g, bit, gens, lambda i, j: keep_masks.get(kc[i] + kc[j] + (par[i] ^ par[j]), 0)):
         c = kc[t] - kc[i] - kc[j] + (par[t] ^ par[i] ^ par[j])
@@ -451,8 +473,8 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
                 for v in kernels[a]:
                     w = 0
                     for e in bit_indices(v):
-                        t, s = src[e]
-                        w |= bit[p[s]][p[t]]
+                        s, t = divmod(src[e], n)
+                        w |= 1 << pos[p[s]][p[t]]
                     moved.append(w)
                 kernels[b] = moved
 
@@ -468,7 +490,7 @@ def derivation_space_blocked(g: StructureConstants) -> DerivationSpace:
         for svec in kernel:
             cols = [0] * n
             for e in bit_indices(svec):
-                t, s = ents[e]
+                s, t = divmod(ents[e], n)
                 cols[s] |= 1 << t
             maps.append(LinearMap(tuple(cols), *skey))
 

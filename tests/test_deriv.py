@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from char2lie import cli
@@ -362,3 +366,24 @@ def test_stopping_at_the_inner_rank_leaves_every_space_unchanged(monkeypatch):
         assert bounded.block_stats["rows"] <= full.block_stats["rows"], name
         settled += bounded.block_stats["settled"]
     assert settled
+
+
+def test_size9_blocked_solve_scale():
+    # hPi(0|9): n = 510, two sizes past the report's range; the blocked
+    # solve must stay within 64 MB in a fresh interpreter, which a solver
+    # with a single-bit int and a (t, s) tuple per unknown (n^2 of each)
+    # exceeds.  The peak is VmHWM, that of the interpreter's own address
+    # space: ru_maxrss of a spawned process also counts the RSS of the
+    # process that spawned it, here pytest's, which can pass 64 MB itself
+    code = (
+        "import re\n"
+        "from char2lie import deriv as dv, liesuper as ls\n"
+        "g, _ = ls.build_algebra(ls.family('h', 'Pi', 0, 9))\n"
+        "assert g.n == 510\n"
+        "assert dv.derivation_space_blocked(g).dim == 520\n"
+        "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dv.__file__))}
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout) <= 64 * 1024
