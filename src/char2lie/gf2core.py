@@ -6,17 +6,22 @@ system, from the small graded blocks to the dense naive derivation
 oracle (`BitMatrix`, every row of the naive equations streamed into one
 `SpanBasis`, with no dedupe set) and the ad-preimage solve
 (`liesuper.ad_preimage`, its generators marked by bits above the n*n map
-coordinates).  There is one elimination: `SpanBasis.extend` runs a batch
-through the forward pass (`_forward`), which xors each vector with the
-row keyed by its lowest set bit until it is zero or has a new lowest
-bit, and then back-substitutes once from the highest pivot down;
-`SpanBasis.add` is `reduce` and a one-vector `extend`.  `span_dim` is the
-rank-only kernel (the same forward pass, no reduced rows) for callers
-that read only a dimension, such as the ad-rank spectra.  Pivoting is
-deterministic (each row's pivot is its lowest set bit), and a span has
-one reduced echelon form whatever repeats or order its rows arrive in,
-so echelon forms, nullspace bases and solutions are reproducible across
-runs.
+coordinates).  An elimination has two passes.  The first,
+`_independent`, streams the batch and keeps each vector that the ones
+kept before do not span, reducing it by the kept vector keyed by its
+highest set bit (`int.bit_length`, O(1) a step); most rows of a large
+system are dependent and end there.  The second, `_forward`, xors each
+survivor with the row keyed by its lowest set bit until it has a new
+lowest bit (or is zero, when rows held before the batch span it), and
+`SpanBasis.extend` then back-substitutes once from the highest pivot
+down; `SpanBasis.add` is `reduce` and the second pass alone, as a
+reduced vector needs no first.  `span_dim` is the rank-only kernel (the
+first pass alone, counting survivors) for callers that read only a
+dimension, such as the ad-rank spectra.  The reduced rows are pivoted
+deterministically (each row's pivot is its lowest set bit), and a span
+has one reduced echelon form whatever repeats or order its rows arrive
+in, so echelon forms, nullspace bases and solutions are reproducible
+across runs.
 """
 
 from __future__ import annotations
@@ -109,11 +114,13 @@ class SpanBasis:
     This is the eliminator for every system: insert the equation rows,
     then read off `kernel`.  The reduced rows live in one dict keyed by
     pivot + 1, the form `_forward` fills; `pivots` and `rows` are
-    ascending read-only views of it.  `extend` runs the forward pass into
-    that dict and back-substitutes once; the rows are reduced and the
-    pivot mask is current again only when the batch is consumed or has
-    raised, so it must not be fed a generator that reads this same span.
-    `add` inserts one vector and says whether the rank grew.
+    ascending read-only views of it.  `extend` drops the vectors of a
+    batch that depend on those before them in it (`_independent`, keyed
+    by highest bit), runs the survivors through the lowest-bit forward
+    pass into that dict and back-substitutes once; the rows are reduced
+    and the pivot mask is current again only when the batch is consumed
+    or has raised, so it must not be fed a generator that reads this same
+    span.  `add` inserts one vector and says whether the rank grew.
     """
 
     def __init__(self):
@@ -146,13 +153,18 @@ class SpanBasis:
         """Insert a generator; returns True when the rank grows."""
         v = self.reduce(v)
         if v:
-            self.extend((v,))
+            self._insert((v,))  # reduced, so independent: no highest-bit pass
         return bool(v)
 
     def extend(self, vs) -> None:
-        """Insert a batch of generators: forward-eliminate each against the
-        rows keyed by their pivots, then back-substitute once.  A batch
-        that raises part way keeps, reduced, the rows it gave before."""
+        """Insert a batch of generators: the highest-bit pass
+        (`_independent`) drops those that depend on the ones before, and
+        the rest are forward-eliminated against the rows keyed by their
+        pivots, then back-substituted once.  A batch that raises part way
+        keeps, reduced, the rows it gave before, as the pass streams."""
+        self._insert(_independent(vs))
+
+    def _insert(self, vs) -> None:
         rows = self._rows
         dim = len(rows)
         try:
@@ -190,11 +202,30 @@ class SpanBasis:
         return [dep.get(f, 0) | (1 << f) for f in range(ncols) if not (self._pivmask >> f) & 1]
 
 
-def _forward(rows: dict[int, int], vectors) -> int:
+def _independent(vectors):
+    """Yield, as each is read, the vectors not in the span of those read
+    before: each is xored with the kept vector keyed by its highest set bit
+    (`int.bit_length`, O(1)) until it is zero, and dropped, or has a new
+    highest bit, and is then kept and yielded as read.  The vectors
+    yielded are independent and span the input."""
+    kept: dict[int, int] = {}
+    for v in vectors:
+        w = v
+        while w:
+            top = w.bit_length()
+            row = kept.get(top)
+            if row is None:
+                kept[top] = w
+                yield v
+                break
+            w ^= row
+
+
+def _forward(rows: dict[int, int], vectors) -> None:
     """Forward elimination into `rows`, each kept row keyed by its lowest
     set bit (as bit index + 1): a vector is xored with the row keyed by its
     own lowest bit until it is zero or has a new lowest bit, and is then
-    kept.  Returns the number of rows."""
+    kept."""
     for v in vectors:
         while v:
             low = (v & -v).bit_length()
@@ -203,13 +234,13 @@ def _forward(rows: dict[int, int], vectors) -> int:
                 rows[low] = v
                 break
             v ^= row
-    return len(rows)
 
 
 def span_dim(vectors) -> int:
-    """Dimension of the span of int-bitmask vectors, by forward elimination
-    only (`_forward`): no back-reduction, pivot list or combinations."""
-    return _forward({}, vectors)
+    """Dimension of the span of int-bitmask vectors: the number that the
+    highest-bit pass (`_independent`) keeps, with no lowest-bit pass,
+    back-reduction, pivot list or combinations."""
+    return sum(1 for _ in _independent(vectors))
 
 
 def solve_affine(rows, ncols: int) -> tuple[int, list[int]] | None:

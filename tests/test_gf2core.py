@@ -1,13 +1,18 @@
 import itertools
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from char2lie import deriv as dv
+from char2lie import liesuper as ls
 from char2lie.gf2core import (
     BitMatrix,
     SpanBasis,
+    _independent,
     echelon_complement,
     solve_affine,
     span_dim,
@@ -309,3 +314,108 @@ def test_bitmatrix_streams_a_one_shot_generator(case):
     assert kernel == listed.nullspace_basis() == distinct.kernel(width)
     assert all(_mat_vec(rows, v) == 0 for v in kernel)
     assert streamed.rows == listed.rows == len(rows)
+
+
+# -- the highest-bit pass -------------------------------------------------------
+
+
+def _lowest_bit_rref(vectors) -> tuple[list[int], list[int]]:
+    """(pivots, reduced rows), ascending, of every vector forward-eliminated
+    by lowest-bit pivots and back-substituted once, with no highest-bit
+    pass first: the reference for `SpanBasis.extend`."""
+    rows = {}
+    for v in vectors:
+        while v:
+            low = (v & -v).bit_length() - 1
+            if low not in rows:
+                rows[low] = v
+                break
+            v ^= rows[low]
+    pivots = sorted(rows)
+    for i, p in enumerate(reversed(pivots)):
+        for q in pivots[len(pivots) - i:]:
+            if (rows[p] >> q) & 1:
+                rows[p] ^= rows[q]
+    return pivots, [rows[p] for p in pivots]
+
+
+def _reference_kernel(pivots, rows, ncols: int) -> list[int]:
+    """One kernel vector per free column, ascending: the free column plus
+    the pivots whose reduced rows hold it."""
+    return [(1 << f) | sum(((r >> f) & 1) << p for p, r in zip(pivots, rows))
+            for f in range(ncols) if f not in pivots]
+
+
+def _assert_lowest_bit_reference(span: SpanBasis, held, ncols: int) -> None:
+    pivots, rows = _lowest_bit_rref(held)
+    assert span.pivots == pivots
+    assert span.rows == rows
+    assert span.kernel(ncols) == _reference_kernel(pivots, rows, ncols)
+
+
+@st.composite
+def _dependent_batches(draw):
+    """(width, batch): rows of 1-300 bits, each the xor of a few rows of a
+    pool of at most 8, so that the batch is full of repeats, zeros and
+    sums of its own rows and its rank is at most 8."""
+    width = draw(st.sampled_from([1, 2, 63, 64, 65, 300]) | st.integers(1, 300))
+    pool = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=8))
+    picks = draw(st.lists(st.sets(st.integers(0, len(pool) - 1), max_size=3), max_size=60))
+    return width, [reduce(xor, (pool[i] for i in pick), 0) for pick in picks]
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_dependent_batches() | _batches().map(lambda case: (case[0], case[1] + case[2])))
+def test_independent_yields_a_basis_of_its_input_as_it_reads(case):
+    # each vector is yielded right after it is read when the ones read
+    # before do not span it, and dropped when they do; the survivors are
+    # independent and as many as the rank of the input (dense Gauss-Jordan)
+    width, batch = case
+    read = []
+
+    def source():
+        for v in batch:
+            read.append(v)
+            yield v
+
+    kept = []
+    for v in _independent(source()):
+        assert v == read[-1]
+        kept.append((len(read) - 1, v))
+    assert read == batch
+    ref = SpanBasis()
+    assert [i for i, _ in kept] == [i for i, v in enumerate(batch) if ref.add(v)]
+    survivors = [v for _, v in kept]
+    rank = len(_dense_rref([_bits(v, width) for v in batch], width)[0])
+    assert len(_dense_rref([_bits(v, width) for v in survivors], width)[0]) == len(survivors) == rank
+    assert span_dim(batch) == span_dim(iter(batch)) == rank
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(_dependent_batches(), _dependent_batches())
+def test_extend_equals_the_lowest_bit_elimination(first, second):
+    # two batches into one span, the second into rows already held: the
+    # same pivots, reduced rows and kernel as lowest-bit pivots alone
+    width = max(first[0], second[0])
+    span = SpanBasis()
+    held = []
+    for _, batch in (first, second):
+        held += batch
+        span.extend(iter(batch))
+        _assert_lowest_bit_reference(span, held, width)
+    assert span.dim == span_dim(held)
+
+
+def test_extend_equals_the_lowest_bit_elimination_on_the_naive_system():
+    # the naive derivation system of hPi(0|5): 9,972 rows over 900
+    # unknowns, most of them dependent
+    g, _ = ls.build_algebra(ls.family("h", "Pi", 0, 5))
+    n = g.n
+    bit = [[1 << (s * n + t) for t in range(n)] for s in range(n)]
+    rows = [row for _, _, _, row in dv._equations(g, bit)]
+    assert len(rows) == 9972
+    span = SpanBasis()
+    span.extend(rows)
+    _assert_lowest_bit_reference(span, rows, n * n)
+    assert span.dim == span_dim(rows) < len(rows) // 10
+    assert BitMatrix.from_int_rows(iter(rows), n * n).nullspace_basis() == span.kernel(n * n)
