@@ -123,7 +123,6 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
     bpar = 0
     meta: dict = {}
     n = 0
-    mode = ""
 
     def index(tok: str) -> int:
         k = int(tok)
@@ -165,8 +164,7 @@ def sca_parse(text: str) -> tuple[ls.StructureConstants, ls.BilinearFormTable | 
             wt = tuple(int(x) for x in parts[5:])
             basis.append(ls.BasisElement(parts[2], 1 if parts[3] == "odd" else 0, int(parts[4]), wt))
         elif parts[0] in ("brackets", "squarings", "nis", "diag"):
-            mode = parts[0]
-            if mode == "nis":
+            if parts[0] == "nis":
                 gram = [0] * n
         elif parts[0] == "parity":
             if parts[1:] not in (["even"], ["odd"]):
@@ -515,16 +513,15 @@ def _dex_report_parts(fams: list, cpus) -> list:
 
 
 def cmd_report(args) -> int:
-    # every size is checked before anything is computed
+    # every size is checked before any family is built
     sizes = args.sizes or [4]
-    fams = []
+    lo, hi = H_SIZE_RANGE
     for i, total in enumerate(sizes):
         if total in sizes[:i]:
             raise VerificationError(f"size {total} is given more than once")
-        try:
-            fams += standard_families(total)
-        except ValueError as e:
-            raise VerificationError(f"no standard families of size {total}: {e}") from e
+        if not lo <= total <= hi:
+            raise VerificationError(f"report sizes need {lo} <= size <= {hi}")
+    fams = [fam for total in sizes for fam in standard_families(total)]
     for fam in fams:
         check_range(fam)
     outdir = Path(args.out)

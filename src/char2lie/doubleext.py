@@ -12,19 +12,9 @@ from __future__ import annotations
 from itertools import chain
 
 from .deriv import LinearMap, bilinear_invariant
-from .gf2core import SpanBasis, bit_indices, flatten_cols, solve_affine, span_dim, transpose, xor_rows
-from .liesuper import (
-    EVEN,
-    ODD,
-    BasisElement,
-    BilinearFormTable,
-    StructureConstants,
-    ad_preimage,
-    center,
-    compose_cols,
-    odd_squares_span,
-    special_center,
-)
+from .gf2core import bit_indices, flatten_cols, solve_affine, span_dim, transpose, xor_rows
+from .liesuper import ODD, BasisElement, BilinearFormTable, StructureConstants, ad_preimage, compose_cols
+
 
 class ExtensionData:
     def __init__(self, D: LinearMap, q_diag: tuple | None = None, A: int | None = None, m: int = 0, BDD: int = 0):
@@ -168,81 +158,6 @@ def _pairing_grade(a: StructureConstants, B: BilinearFormTable):
     if out is None:
         raise ValueError("form is zero")
     return out
-
-
-class RecognitionReport:
-    def __init__(self, rec1: bool, rec2: bool, rec3: bool, rec4: bool, special_center_even: int = 0,
-                 center_even: int = 0, center_odd: int = 0, witnesses: dict | None = None):
-        self.rec1 = rec1
-        self.rec2 = rec2
-        self.rec3 = rec3
-        self.rec4 = rec4
-        self.special_center_even = special_center_even
-        self.center_even = center_even
-        self.center_odd = center_odd
-        self.witnesses = {} if witnesses is None else witnesses
-
-
-def recognition(g: StructureConstants, B: BilinearFormTable) -> RecognitionReport:
-    """Evaluate the hypotheses of the four recognition propositions:
-    Rec1 (even special center), Rec2 (odd center meets the cone), Rec3
-    (odd form, even center), Rec4 (odd form, central odd squares in the
-    squares' orthogonal complement).
-
-    Rec4 cannot hold when B passes `verify_form`: for a central odd x,
-    square invariance gives B(s(x), y) = B(x, [x, y]) = 0 for every y, so
-    s(x) = 0 by nondegeneracy."""
-    if not B.is_nondegenerate():
-        raise ValueError("form is degenerate")
-    z = center(g)
-    ev_mask = g.parity_mask(EVEN)
-    ev, od = [], []
-    for r in z.rows:
-        if r & ev_mask:
-            ev.append(r & ev_mask)
-        if r & ~ev_mask:
-            od.append(r & ~ev_mask)
-    sp_e = SpanBasis()
-    sp_e.extend(ev)
-    sp_o = SpanBasis()
-    sp_o.extend(od)
-    z_ev, z_od = list(sp_e.rows), list(sp_o.rows)
-
-    zs = special_center(g, B)
-    zs_ev = [r for r in zs.rows if not (r & ~ev_mask)]
-    rec1 = bool(zs_ev)
-
-    squares = odd_squares_span(g)
-    perp_span = SpanBasis()
-    perp_span.extend(B.orthogonal_complement(squares))
-
-    # s(x + y) = s(x) + s(y) + [x, y] = s(x) + s(y) on the center, so s is
-    # linear there: rec2 asks for a nonzero x in span(z_od) with s(x) in
-    # perp_span, i.e. a nonzero kernel of x -> s(x) mod perp_span; rec4
-    # asks for s to be nonzero on that kernel
-    sq_od = [0 if g.graded_only else g.sq_vec(x) for x in z_od]
-    modp = SpanBasis()
-    modp.extend(transpose([perp_span.reduce(sx) for sx in sq_od], g.n))
-    cone = modp.kernel(len(z_od))
-    rec2 = bool(cone)
-    wit2 = xor_rows(z_od, cone[0]) if cone else None
-
-    rec3 = bool(B.parity == ODD and z_ev)
-
-    cone_sq = [xor_rows(sq_od, c) for c in cone] if B.parity == ODD else []
-    wit4 = next((sx for sx in cone_sq if sx), None)
-    rec4 = wit4 is not None
-
-    return RecognitionReport(
-        rec1=rec1,
-        rec2=rec2,
-        rec3=rec3,
-        rec4=rec4,
-        special_center_even=len(zs_ev),
-        center_even=len(z_ev),
-        center_odd=len(z_od),
-        witnesses={"rec2": wit2, "rec4": wit4},
-    )
 
 
 # ---------------------------------------------------------------------------

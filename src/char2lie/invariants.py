@@ -1,42 +1,18 @@
-"""Isomorphism-distinguishing invariants: super-ranks, ad-rank spectra,
-graded dimensions, and fingerprint comparison.
+"""Isomorphism-distinguishing invariants, gathered in the fingerprint that
+the `fingerprint` command prints: the superdimension, the derived series,
+the center and the ad-rank spectra over the basis and over sums of two
+basis elements.
 
-A fingerprint difference certifies non-isomorphism; equality proves
-nothing, so comparison returns either evidence or "inconclusive".
+Two algebras whose fingerprints differ are not isomorphic; equal
+fingerprints prove nothing.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .deriv import LinearMap
-from .gf2core import flatten_cols, span_dim, unflatten_cols
-from .liesuper import EVEN, StructureConstants, center, derived_series_dims, orbits, symmetries
-
-
-class SuperRank(namedtuple("SuperRank", "even_rank odd_rank")):
-    __slots__ = ()
-
-    @property
-    def total(self) -> int:
-        return self.even_rank + self.odd_rank
-
-
-def super_rank(g: StructureConstants, op) -> SuperRank:
-    """Superdimension of the image, split by the parity of the source
-    (the superdimension of V/Ker)."""
-    if isinstance(op, LinearMap):
-        cols = list(op.cols)
-    else:
-        cols = g.ad_cols(op)
-    return SuperRank(
-        span_dim(c for j, c in enumerate(cols) if g.parity(j) == EVEN),
-        span_dim(c for j, c in enumerate(cols) if g.parity(j) != EVEN),
-    )
-
-
-def ad_rank(g: StructureConstants, x: int) -> int:
-    return span_dim(g.ad_cols(x))
+from .gf2core import span_dim
+from .liesuper import StructureConstants, center, derived_series_dims, orbits, symmetries
 
 
 def _basis_ads(g: StructureConstants) -> list[dict[int, int]]:
@@ -75,23 +51,6 @@ def pair_rank_spectrum(g: StructureConstants) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def has_odd_ad_rank(g: StructureConstants) -> bool:
-    """Whether any element has odd ad-rank, by an exhaustive Gray-code
-    walk over all 2^n elements (one xor of flattened ad columns each);
-    raises ValueError above n = 16 rather than answer from a sample."""
-    if g.n > 16:
-        raise ValueError(f"has_odd_ad_rank searches all 2^n elements; n = {g.n} exceeds 16")
-    ads = [flatten_cols(row, g.n) for row in g.brk]
-    acc = 0
-    for step in range(1, 1 << g.n):
-        # element step ^ (step >> 1) differs from the previous one in the
-        # lowest set bit of step
-        acc ^= ads[(step & -step).bit_length() - 1]
-        if span_dim(unflatten_cols(acc, g.n)) & 1:
-            return True
-    return False
-
-
 class Fingerprint(namedtuple("Fingerprint", "sdim derived_dims center_dim basis_ranks pair_ranks")):
     __slots__ = ()
 
@@ -114,21 +73,3 @@ def fingerprint(g: StructureConstants) -> Fingerprint:
         basis_ranks=ad_rank_spectrum(g),
         pair_ranks=pair_rank_spectrum(g),
     )
-
-
-class Evidence(namedtuple("Evidence", "component left right")):
-    __slots__ = ()
-
-    def __str__(self):
-        return f"{self.component} differ: {self.left} vs {self.right}"
-
-
-def distinguish(g1: StructureConstants, g2: StructureConstants):
-    """First differing fingerprint component (a non-isomorphism
-    certificate), or the string 'inconclusive'."""
-    f1, f2 = fingerprint(g1), fingerprint(g2)
-    for name in ("sdim", "derived_dims", "center_dim", "basis_ranks", "pair_ranks"):
-        a, b = getattr(f1, name), getattr(f2, name)
-        if a != b:
-            return Evidence(name, a, b)
-    return "inconclusive"

@@ -48,17 +48,6 @@ class BilinearFormTable(namedtuple("BilinearFormTable", "gram parity")):
     def pairing(self, x: int, y: int) -> int:
         return (self.left(x) & y).bit_count() & 1
 
-    def is_nondegenerate(self) -> bool:
-        span = SpanBasis()
-        span.extend(self.gram)
-        return span.dim == self.n
-
-    def orthogonal_complement(self, vectors: list[int]) -> list[int]:
-        """Basis of the subspace orthogonal to all given vectors."""
-        span = SpanBasis()
-        span.extend(self.right(v) for v in vectors)
-        return span.kernel(self.n)
-
 
 class Subspace:
     def __init__(self, rows: list[int]):
@@ -166,14 +155,6 @@ class StructureConstants:
             for j in idx[k + 1 :]:
                 out ^= self.brk[i][j]
         return out
-
-    def ad_cols(self, x: int) -> list[int]:
-        return [self.bracket_vec(x, 1 << j) for j in range(self.n)]
-
-    def element_name(self, x: int) -> str:
-        if x == 0:
-            return "0"
-        return "+".join(self.basis[i].name for i in bit_indices(x))
 
     # -- verification --
 
@@ -489,7 +470,7 @@ def build_algebra(fam: FamilySpec) -> tuple[StructureConstants, BilinearFormTabl
 
 
 # ---------------------------------------------------------------------------
-# subspaces, series, quotients
+# subspaces and series
 # ---------------------------------------------------------------------------
 
 
@@ -551,78 +532,6 @@ def center(g: StructureConstants) -> Subspace:
     return Subspace(span.kernel(g.n))
 
 
-def odd_squares_span(g: StructureConstants) -> list[int]:
-    """Span of squares of all odd elements: basis squares plus odd-odd
-    brackets (polarization)."""
-    span = SpanBasis()
-    odds = g.odd_indices()
-    span.extend(chain((g.sq[i] for i in odds), (g.brk[a][b] for a, b in combinations(odds, 2))))
-    return span.rows
-
-
-def special_center(g: StructureConstants, B: BilinearFormTable) -> Subspace:
-    """Center intersected with the orthogonal complement of the span of
-    odd squares."""
-    z = center(g)
-    perp = B.orthogonal_complement(odd_squares_span(g))
-    return Subspace(_intersect(z.rows, perp, g.n))
-
-
-def _intersect(rows_a: list[int], rows_b: list[int], n: int) -> list[int]:
-    """Intersection of two spans inside GF(2)^n (Zassenhaus pairing).
-
-    Eliminate rows (a, a) and (b, 0); rows whose pivot falls in the second
-    block have zero first block, and their second blocks are the reduced
-    echelon basis of A ∩ B.
-    """
-    span = SpanBasis()
-    span.extend(chain((a | (a << n) for a in rows_a), rows_b))
-    return [row >> n for piv, row in zip(span.pivots, span.rows) if piv >= n]
-
-
-def quotient(g: StructureConstants, ideal: Subspace) -> StructureConstants:
-    """Quotient by an ideal closed under squaring, on the complement of
-    the ideal's pivot coordinates."""
-    span = SpanBasis()
-    span.extend(ideal.rows)
-    rows = span.rows
-    for r in rows:
-        for j in range(g.n):
-            if not span.contains(g.bracket_vec(r, 1 << j)):
-                raise ValueError("subspace is not an ideal")
-    ev, od = _split_parity(g, rows)
-    for r in od:
-        if not span.contains(g.sq_vec(r)):
-            raise ValueError("ideal is not closed under squaring")
-    pivots = set(span.pivots)
-    keep = [i for i in range(g.n) if i not in pivots]
-    pos = {i: k for k, i in enumerate(keep)}
-
-    def project(vec: int) -> int:
-        vec = span.reduce(vec)
-        out = 0
-        for i in bit_indices(vec):
-            out |= 1 << pos[i]
-        return out
-
-    n2 = len(keep)
-    brk = [[0] * n2 for _ in range(n2)]
-    sq = [0] * n2
-    for a in range(n2):
-        for b in range(a, n2):
-            v = project(g.brk[keep[a]][keep[b]])
-            brk[a][b] = v
-            brk[b][a] = v
-    for a in range(n2):
-        if g.parity(keep[a]) == ODD:
-            sq[a] = project(g.sq[keep[a]])
-    basis = [g.basis[i] for i in keep]
-    meta = {"quotient_of": g.meta.get("family")}
-    if g.graded_only:
-        meta["graded"] = True
-    return StructureConstants(basis, brk, sq, meta=meta)
-
-
 def generating_set(g: StructureConstants) -> list[int]:
     """Basis indices of a set S that generates g under the bracket, in the
     order taken: the basis is walked in order of (|degree|, index), and
@@ -671,7 +580,8 @@ def symmetries(g: StructureConstants, gens: list[int] | None = None) -> list[tup
     subalgebra under Jacobi (or the left Leibniz identity), which holds S
     and so is g.  That lemma does not reach the squares, so every odd one
     is checked.  S is `gens`, else `generating_set(g)`.  An object without
-    that meta (a parsed file, an extension, a quotient) has none."""
+    that meta (a parsed file, an extension, a quotient built by the tests)
+    has none."""
     space, masks = g.meta.get("space"), g.meta.get("masks")
     if space is None or masks is None:
         return []
@@ -756,25 +666,3 @@ def ad_preimage(g: StructureConstants, maps) -> list[int | None]:
 def compose_cols(cols_a: list[int], cols_b: list[int]) -> list[int]:
     """Columns of A∘B given columns of A and B."""
     return [xor_rows(cols_a, cb) for cb in cols_b]
-
-
-class RestrictednessReport:
-    def __init__(self, ok: bool, witnesses: dict, failures: list[int]):
-        self.ok = ok
-        self.witnesses = witnesses
-        self.failures = failures
-
-
-def restrictedness_check(g: StructureConstants) -> RestrictednessReport:
-    """For every even basis element x, decide whether (ad_x)^2 is an inner
-    derivation ad_y, and record the witness y."""
-    evens = g.even_indices()
-    squares = [flatten_cols(compose_cols(g.brk[i], g.brk[i]), g.n) for i in evens]
-    witnesses = {}
-    failures = []
-    for i, y in zip(evens, ad_preimage(g, squares)):
-        if y is None:
-            failures.append(i)
-        else:
-            witnesses[i] = y
-    return RestrictednessReport(not failures, witnesses, failures)

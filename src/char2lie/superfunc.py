@@ -78,10 +78,6 @@ class Space(namedtuple("Space", "variables kind parity_shift", defaults=(0,))):
         return ".".join(self.variables[i].name for i in range(self.nvars) if (mask >> i) & 1)
 
 
-class FormValue(namedtuple("FormValue", "value parity")):
-    __slots__ = ()
-
-
 def poly(*masks: int) -> Poly:
     """Polynomial from monomial masks, cancelling duplicate pairs."""
     s: set[int] = set()
@@ -168,18 +164,6 @@ def squaring(space: Space, f: Poly) -> Poly:
         if space.variables[w].parity == ODD and (1 << w) in f:
             out ^= ONE
     return out
-
-
-def berezin_form(space: Space, f: Poly, g: Poly) -> FormValue:
-    """Coefficient of the product of all indeterminates in f*g."""
-    space.check_poly(f)
-    space.check_poly(g)
-    full = space.full_mask
-    val = 0
-    for m in f:
-        if (full ^ m) in g:
-            val ^= 1
-    return FormValue(val, berezin_parity(space))
 
 
 def berezin_parity(space: Space) -> int:

@@ -13,10 +13,9 @@ import pytest
 
 from char2lie import cli
 from char2lie import deriv as dv
-from char2lie import doubleext as dx
-from char2lie import invariants as inv
 from char2lie import liesuper as ls
 from char2lie.gf2core import SpanBasis
+from tests.oracles import ad_cols, ad_rank, distinguish, has_odd_ad_rank, restrictedness_check, super_rank
 
 SIZE6_TABLE_FAMILIES = [
     ("h", "Pi", 0, 6), ("h", "Pi", 6, 0), ("h", "PiPi", 2, 4), ("h", "PiPi", 3, 3),
@@ -371,17 +370,17 @@ def test_criterion6_rank_lemmas(registry):
     # rk D0 = 2^(2n-1) in the hatted extension of h_I(0|2n), n = 2 and 3
     for slug, n in (("h_I_0_4", 2), ("h_I_0_6", 3)):
         ext = ext_by_name(registry, slug, f"{slug}__D0")
-        assert inv.ad_rank(ext.alg, 1 << (ext.alg.n - 1)) == 2 ** (2 * n - 1), slug
+        assert ad_rank(ext.alg, 1 << (ext.alg.n - 1)) == 2 ** (2 * n - 1), slug
     # super-rank (2,2) of the D_b element in the twisted extension
     ext = ext_by_name(registry, "h_Pi_0_4", "h_Pi_0_4__Db")
-    sr = inv.super_rank(ext.alg, 1 << (ext.alg.n - 1))
+    sr = super_rank(ext.alg, 1 << (ext.alg.n - 1))
     assert (sr.even_rank, sr.odd_rank) == (2, 2)
     # b(2|2) has no odd ad-rank (exhaustive over all 2^16 elements)
     bb = ext_by_name(registry, "le_2", "le_2__D(+2)")
-    assert not inv.has_odd_ad_rank(bb.alg)
+    assert not has_odd_ad_rank(bb.alg)
     # and the twisted Buttin algebra is distinguished from it
     bt = ext_by_name(registry, "le_2", "le_2__Db")
-    assert inv.distinguish(bt.alg, bb.alg) != "inconclusive"
+    assert distinguish(bt.alg, bb.alg) != "inconclusive"
     dt = time.perf_counter() - t0
     print(f"\ncriterion 6 (rank lemmas, attainable part): PASS in {dt:.1f}s")
 
@@ -393,7 +392,7 @@ def test_criterion6_expected_value_btilde_rank7(registry):
     distinguished by pair-rank spectra.  Fails deliberately."""
     bt = ext_by_name(registry, "le_2", "le_2__Db")
     names = [b.name for b in bt.alg.basis]
-    ranks = {nm: inv.ad_rank(bt.alg, 1 << names.index(nm)) for nm in ("q1", "pi1", "q2", "pi2")}
+    ranks = {nm: ad_rank(bt.alg, 1 << names.index(nm)) for nm in ("q1", "pi1", "q2", "pi2")}
     print(f"\ncriterion 6 (expected rk ad in the twisted Buttin algebra): {ranks}")
     assert all(r == 7 for r in ranks.values()), (
         f"mechanical ad-ranks {ranks}; rank 7 is not attained by any element "
@@ -483,13 +482,13 @@ def test_criterion9_restrictedness(registry):
     t0 = time.perf_counter()
     results = {}
     for slug, (fam, g, B) in registry["families"].items():
-        rep = ls.restrictedness_check(g)
+        rep = restrictedness_check(g)
         results[slug] = rep
         if not _has_diagonal(fam):
             assert rep.ok, (slug, rep.failures)
         for i, y in rep.witnesses.items():
-            ci = g.ad_cols(1 << i)
-            assert ls.compose_cols(ci, ci) == g.ad_cols(y), (slug, i)
+            ci = ad_cols(g, 1 << i)
+            assert ls.compose_cols(ci, ci) == ad_cols(g, y), (slug, i)
         space = fam.space()
         diag_names = {space.variables[w].name for w in space.kind.diagonals}
         for i in rep.failures:
@@ -512,7 +511,7 @@ def test_criterion9_expected_value(registry):
     the witnesses in the message."""
     failing = {}
     for slug, (fam, g, B) in registry["families"].items():
-        rep = ls.restrictedness_check(g)
+        rep = restrictedness_check(g)
         if not rep.ok:
             failing[slug] = [g.basis[i].name for i in rep.failures[:2]]
     print(f"\ncriterion 9 (expected value): failing families {sorted(failing)}")

@@ -22,6 +22,7 @@ from char2lie import invariants as inv
 from char2lie import liesuper as ls
 from char2lie import pipeline
 from char2lie import superfunc as sf
+from tests.oracles import RecognitionReport, SuperRank
 from tests.test_acceptance import REPORT_4_5_SHA256
 
 
@@ -338,6 +339,17 @@ def test_bad_arguments_rejected(tmp_path, capsys, argv):
     assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == "x"
 
 
+@pytest.mark.parametrize("size", ["8", "100000"])
+def test_report_size_rejected_before_any_family_is_built(tmp_path, capsys, monkeypatch, size):
+    # a size above the guard fails at once: building the families of a
+    # large size first took seconds and gigabytes before the error
+    calls = []
+    monkeypatch.setattr(cli, "standard_families", lambda total: calls.append(total) or [])
+    assert run_cli("report", "--sizes", size, "--out", str(tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
+
+
 def test_unwritable_dex_output_rejected(tmp_path, capsys):
     # dex cannot write its table where a directory has the table's name
     args = ["--family", "h", "--form", "Pi", "--even", "0", "--odd", "4", "--out", str(tmp_path)]
@@ -544,19 +556,19 @@ def test_records_compare_by_value_and_own_their_containers():
     space = fam.space()
     g, _ = ls.build_algebra(fam)
     D = dv.LinearMap((0,) * g.n, 0, (0, 0), 0)
-    for r in [fam, space, D, g.basis[0], inv.SuperRank(2, 3), inv.fingerprint(g)]:
+    for r in [fam, space, D, g.basis[0], SuperRank(2, 3), inv.fingerprint(g)]:
         twin = pickle.loads(pickle.dumps(r))
         assert twin is not r and twin == r and hash(twin) == hash(r) and repr(twin) == repr(r)
     assert sf.Space(space.variables, space.kind) == space and space.parity_shift == 0
     assert fam != ls.family("h", "Pi", 4, 0) and D != dv.LinearMap(D.cols, 0, (0, 0), 1)
-    assert len({inv.SuperRank(2, 3), inv.SuperRank(2, 3), inv.SuperRank(3, 2)}) == 2
-    assert repr(inv.SuperRank(2, 3)) == "SuperRank(even_rank=2, odd_rank=3)"
+    assert len({SuperRank(2, 3), SuperRank(2, 3), SuperRank(3, 2)}) == 2
+    assert repr(SuperRank(2, 3)) == "SuperRank(even_rank=2, odd_rank=3)"
     # a mutable record gets a fresh container for each instance, not one
     # default shared by all
     for make, name in [
         (lambda: ls.AxiomReport(True), "failures"),
         (lambda: dv.DerivationSpace([], [], {}), "block_stats"),
-        (lambda: dx.RecognitionReport(False, False, False, False), "witnesses"),
+        (lambda: RecognitionReport(False, False, False, False), "witnesses"),
         (lambda: pipeline.DerivationRow("D0", 0, 0, 0, True, True), "reps"),
         (lambda: pipeline.DexRow("D0", 0, 0, 0, True, "", ""), "built"),
     ]:

@@ -7,6 +7,7 @@ from char2lie import doubleext as dx
 from char2lie import invariants as inv
 from char2lie import liesuper as ls
 from char2lie.gf2core import span_dim
+from tests.oracles import SuperRank, ad_rank, distinguish, has_odd_ad_rank, super_rank
 
 
 def build_ext(built, args, label, m=0):
@@ -19,13 +20,13 @@ def build_ext(built, args, label, m=0):
 def test_super_rank_zero(built):
     fam, g, B = built("h", "Pi", 0, 4)
     zero = dv.LinearMap((0,) * g.n, 0, (0, 0), 0)
-    assert inv.super_rank(g, zero) == inv.SuperRank(0, 0)
+    assert super_rank(g, zero) == SuperRank(0, 0)
 
 
 def test_super_rank_db_exceptional(built):
     ext = build_ext(built, ("h", "Pi", 0, 4), "Db[xi1]")
     d_idx = ext.alg.n - 1
-    sr = inv.super_rank(ext.alg, 1 << d_idx)
+    sr = super_rank(ext.alg, 1 << d_idx)
     assert (sr.even_rank, sr.odd_rank) == (2, 2)
 
 
@@ -33,14 +34,14 @@ def test_rank_d0_in_po_hat(built):
     for n in (2, 3):
         ext = build_ext(built, ("h", "I", 0, 2 * n), "Deuler")
         d_idx = ext.alg.n - 1
-        assert inv.ad_rank(ext.alg, 1 << d_idx) == 2 ** (2 * n - 1)
+        assert ad_rank(ext.alg, 1 << d_idx) == 2 ** (2 * n - 1)
 
 
 def test_ad_rank_spectra_b_tilde_vs_b(built):
     bt = build_ext(built, ("le", "", 0, 0, 2), "Db[q1]")
     bb = build_ext(built, ("le", "", 0, 0, 2), "Dtop")
-    assert not inv.has_odd_ad_rank(bb.alg)  # no element of b(2|2) has odd rank
-    ev = inv.distinguish(bt.alg, bb.alg)
+    assert not has_odd_ad_rank(bb.alg)  # no element of b(2|2) has odd rank
+    ev = distinguish(bt.alg, bb.alg)
     assert ev != "inconclusive"
 
 
@@ -48,7 +49,7 @@ def test_has_odd_ad_rank_refuses_beyond_exhaustive(built):
     fam, g, B = built("h", "Pi", 0, 5)
     assert g.n == 30
     with pytest.raises(ValueError, match="2\\^n"):
-        inv.has_odd_ad_rank(g)
+        has_odd_ad_rank(g)
 
 
 def test_abelian_spectrum_zero():
@@ -59,14 +60,14 @@ def test_abelian_spectrum_zero():
 
 def test_distinguish_self_inconclusive(built):
     fam, g, B = built("h", "Pi", 0, 4)
-    assert inv.distinguish(g, g) == "inconclusive"
+    assert distinguish(g, g) == "inconclusive"
 
 
 def test_distinguish_symmetric(built):
     bt = build_ext(built, ("le", "", 0, 0, 2), "Db[q1]")
     bb = build_ext(built, ("le", "", 0, 0, 2), "Dtop")
-    assert (inv.distinguish(bt.alg, bb.alg) != "inconclusive") == (
-        inv.distinguish(bb.alg, bt.alg) != "inconclusive"
+    assert (distinguish(bt.alg, bb.alg) != "inconclusive") == (
+        distinguish(bb.alg, bt.alg) != "inconclusive"
     )
 
 
@@ -74,8 +75,8 @@ def test_po_hat_tilde_po_distinguished(built):
     hat = build_ext(built, ("h", "I", 0, 4), "Deuler")
     tilde = build_ext(built, ("h", "I", 0, 4), "Db[xi1]")
     po = build_ext(built, ("h", "I", 0, 4), "Dtop")
-    assert inv.distinguish(hat.alg, tilde.alg) != "inconclusive"
-    assert inv.distinguish(hat.alg, po.alg) != "inconclusive"
+    assert distinguish(hat.alg, tilde.alg) != "inconclusive"
+    assert distinguish(hat.alg, po.alg) != "inconclusive"
 
 
 def test_fingerprint_permutation_invariance(built):
@@ -114,7 +115,7 @@ def test_po05_m_fingerprints_reported(built):
     # for m != 0; report whatever the fingerprints find without asserting
     e0 = build_ext(built, ("h", "Pi", 0, 5), "Dtop", m=0)
     e1 = build_ext(built, ("h", "Pi", 0, 5), "Dtop", m=1)
-    verdict = inv.distinguish(e0.alg, e1.alg)
+    verdict = distinguish(e0.alg, e1.alg)
     assert verdict == "inconclusive" or verdict.component
 
 

@@ -15,6 +15,16 @@ from char2lie import liesuper as ls
 from char2lie import pipeline
 from char2lie import superfunc as sf
 from char2lie.gf2core import SpanBasis, solve_affine, span_dim
+from tests.oracles import (
+    SuperRank,
+    ad_cols,
+    ad_rank,
+    has_odd_ad_rank,
+    is_nondegenerate,
+    orthogonal_complement,
+    quotient,
+    super_rank,
+)
 
 
 def test_solver_solutions_satisfy_derivation_identities(built):
@@ -36,7 +46,7 @@ def test_inner_derivations_preserve_invariant_form(built):
                  ("h", "PiI", 2, 2), ("le", "", 0, 0, 2)]:
         fam, g, B = built(*args)
         for k in range(g.n):
-            cols = g.ad_cols(1 << k)
+            cols = ad_cols(g, 1 << k)
             if any(cols):
                 D = dv.linear_map_from_cols(g, cols)
                 assert dv.bilinear_invariant(D, B), (fam.name, k)
@@ -49,7 +59,7 @@ def test_simplicity_sweep_sizes_4_and_5():
             g, B = ls.build_algebra(fam)
             assert ls.derived(g, 1).dim == g.n, fam.name
             assert ls.center(g).dim == 0, fam.name
-            assert B.is_nondegenerate(), fam.name
+            assert is_nondegenerate(B), fam.name
 
 
 def test_rank_oracle_small_shapes():
@@ -330,7 +340,7 @@ def test_verification_kernels_match_reference_loops(obj):
         assert (fm.ok, fm.failures) == _ref_verify_form(g, B, max_failures), max_failures
     _assert_squaring_check(g)
     assert list(dv.invariance_failures(D, B)) == _ref_invariance_failures(D, B)
-    assert B.orthogonal_complement(vectors) == _ref_orthogonal_complement(B, vectors)
+    assert orthogonal_complement(B, vectors) == _ref_orthogonal_complement(B, vectors)
 
 
 def _assert_squaring_check(g):
@@ -415,7 +425,7 @@ def test_every_producer_writes_a_symmetric_table():
             po, B = ls.poisson_algebra(fam.space())
             objects += [ls.build_algebra(fam), (po, B)]
             if total == 4:
-                objects.append((ls.quotient(po, ls.center(po)), None))
+                objects.append((quotient(po, ls.center(po)), None))
             if total < 6:
                 objects += [(ext.alg, ext.form) for r in pipeline.dex_family(fam)[1] for _, ext, _ in r.built]
     assert len(objects) == 66 + 11 + 56
@@ -470,7 +480,7 @@ def _ref_super_rank(g, cols):
     even, odd = SpanBasis(), SpanBasis()
     for j, c in enumerate(cols):
         (odd if g.parity(j) else even).add(c)
-    return inv.SuperRank(even.dim, odd.dim)
+    return SuperRank(even.dim, odd.dim)
 
 
 def _ref_has_odd_ad_rank(g):
@@ -494,14 +504,14 @@ def test_rank_invariants_match_span_basis_loops():
         rng = random.Random(n)
         for x in [1 << i for i in range(n)] + pairs[::7] + [rng.getrandbits(n) for _ in range(20)]:
             cols = _ref_ad_cols(g, x)
-            assert inv.ad_rank(g, x) == _ref_rank(cols), x
-            assert inv.super_rank(g, x) == _ref_super_rank(g, cols), x
+            assert ad_rank(g, x) == _ref_rank(cols), x
+            assert super_rank(g, x) == _ref_super_rank(g, cols), x
         cols = [rng.getrandbits(n) & g.brk[rng.randrange(n)][j] for j in range(n)]
-        assert inv.super_rank(g, dv.LinearMap(tuple(cols), 0, (), 0)) == _ref_super_rank(g, cols)
+        assert super_rank(g, dv.LinearMap(tuple(cols), 0, (), 0)) == _ref_super_rank(g, cols)
     # the exhaustive reference costs 2^n ranks: the Dtop extension (n = 16,
     # no odd rank, so its search never stops early) is left out
     for g, B in bases[:4]:
-        assert inv.has_odd_ad_rank(g) == _ref_has_odd_ad_rank(g), g.n
+        assert has_odd_ad_rank(g) == _ref_has_odd_ad_rank(g), g.n
 
 
 # -- the mask bracket kernel against the derivative formula ----------------
